@@ -128,7 +128,7 @@ func main() {
 		case "mutate":
 			show(experiment.Mutate(experiment.MutateConfig{Ops: *ops, Seed: *seed}))
 		case "store":
-			show(experiment.StoreEngines(env))
+			show(experiment.StoreEngine(env))
 		default:
 			fatal(fmt.Errorf("unknown experiment %q", name))
 		}

@@ -36,7 +36,6 @@
 package encshare
 
 import (
-	"bytes"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
@@ -51,7 +50,6 @@ import (
 	"encshare/internal/filter"
 	"encshare/internal/gf"
 	"encshare/internal/mapping"
-	"encshare/internal/minisql"
 	"encshare/internal/obs"
 	"encshare/internal/prg"
 	"encshare/internal/ring"
@@ -165,46 +163,14 @@ func (k *Keys) scheme() *secshare.Scheme {
 
 // Database is the server-side handle: the indexed share table.
 type Database struct {
-	st  *store.Store
-	dsn string
+	st *store.Store
 }
 
-// CreateDatabase creates a fresh named database with the nodes schema on
-// the default storage engine (the paged v2 engine).
+// CreateDatabase creates a fresh, empty database with the nodes schema.
+// The name labels the database for its caller; every call returns a
+// table of its own.
 func CreateDatabase(name string) (*Database, error) {
-	return CreateDatabaseWith(name, "")
-}
-
-// CreateDatabaseWith is CreateDatabase with an explicit storage engine:
-// "" or "v2" for the paged engine, "v1" for the minisql oracle.
-func CreateDatabaseWith(name, engine string) (*Database, error) {
-	eng, err := store.ParseEngine(engine)
-	if err != nil {
-		return nil, err
-	}
-	st, err := store.OpenWith(name, store.Options{Engine: eng})
-	if err != nil {
-		return nil, err
-	}
-	if err := st.Init(); err != nil {
-		st.Close()
-		return nil, err
-	}
-	return &Database{st: st, dsn: name}, nil
-}
-
-// OpenDatabase attaches to an existing named database (e.g. one
-// populated by LoadFrom).
-func OpenDatabase(name string) (*Database, error) {
-	st, err := store.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	if err := st.Attach(); err != nil {
-		st.Close()
-		return nil, err
-	}
-	return &Database{st: st, dsn: name}, nil
+	return &Database{st: store.New(store.Options{})}, nil
 }
 
 // EncodeStats re-exports the encoder's output metrics.
@@ -247,26 +213,25 @@ func (db *Database) ShardPlan(n int) ([]ShardRange, error) {
 // file: encshare-server loads it exactly like a full DumpTo file and
 // serves it as one cluster shard.
 func (db *Database) DumpShard(w io.Writer, r ShardRange) error {
-	tmp, dsn, err := db.st.CopyRange(r.Lo, r.Hi)
+	tmp, err := db.st.CopyRange(r.Lo, r.Hi)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		tmp.Close()
-		minisql.Drop(dsn)
-	}()
+	defer tmp.Close()
 	return tmp.Dump(w)
 }
 
-// LoadFrom restores a database previously written by DumpTo.
+// DumpError is the error LoadFrom returns for a stream that is not a
+// valid dump: foreign, truncated, or holding a malformed page.
+type DumpError = store.DumpError
+
+// LoadFrom restores a database previously written by DumpTo. A stream
+// that is not a valid dump is refused with a *DumpError, and the
+// current contents stay in place.
 func (db *Database) LoadFrom(r io.Reader) error { return db.st.Load(r) }
 
 // Close releases the handle and drops the in-memory data.
-func (db *Database) Close() error {
-	err := db.st.Close()
-	minisql.Drop(db.dsn)
-	return err
-}
+func (db *Database) Close() error { return db.st.Close() }
 
 // ServeConfig tunes the server-side filter for Serve/ServeWith.
 type ServeConfig struct {
@@ -281,10 +246,6 @@ type ServeConfig struct {
 	// snapshot + log state on a later restart (see server.Tenant).
 	// Empty means mutations are accepted but die with the process.
 	WALDir string
-	// Engine selects the storage engine the served table runs on
-	// ("" keeps the database's current engine; "v1"/"v2" convert a
-	// mismatched table before serving). See store.Engine.
-	Engine string
 }
 
 // Serve exposes the database's ServerFilter over the RMI protocol until
@@ -303,34 +264,6 @@ func (db *Database) Serve(l net.Listener, params Params) error {
 // tenants runs the runtime directly (see cmd/encshare-server).
 func (db *Database) ServeWith(l net.Listener, params Params, cfg ServeConfig) error {
 	params = params.normalized()
-	st := db.st
-	if cfg.Engine != "" {
-		eng, err := store.ParseEngine(cfg.Engine)
-		if err != nil {
-			return err
-		}
-		if eng != st.Engine() {
-			// Convert through the dump formats: either engine loads the
-			// other's dump, so a v1-built file serves on v2 and vice versa.
-			var buf bytes.Buffer
-			if err := db.st.Dump(&buf); err != nil {
-				return err
-			}
-			dsn := minisql.FreshDSN()
-			conv, err := store.OpenWith(dsn, store.Options{Engine: eng})
-			if err != nil {
-				return err
-			}
-			defer func() {
-				conv.Close()
-				minisql.Drop(dsn)
-			}()
-			if err := conv.Load(&buf); err != nil {
-				return err
-			}
-			st = conv
-		}
-	}
 	rt := server.New(server.Config{})
 	// Tenant.CacheEntries shares ServeConfig.CacheSize's convention
 	// (0 = default, negative disables), so the raw value passes through.
@@ -339,7 +272,7 @@ func (db *Database) ServeWith(l net.Listener, params Params, cfg ServeConfig) er
 		Workers:      cfg.Workers,
 		CacheEntries: cfg.CacheSize,
 		WALDir:       cfg.WALDir,
-	}, st)
+	}, db.st)
 	if err != nil {
 		return err
 	}

@@ -2,12 +2,12 @@ package encshare
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"net"
 	"strings"
 	"testing"
 
-	"encshare/internal/minisql"
 	"encshare/internal/xmldoc"
 )
 
@@ -27,8 +27,7 @@ func TestEndToEndLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dsn := minisql.FreshDSN()
-	db, err := CreateDatabase(dsn)
+	db, err := CreateDatabase(t.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +91,7 @@ func TestEndToEndRemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dsn := minisql.FreshDSN()
-	db, err := CreateDatabase(dsn)
+	db, err := CreateDatabase(t.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +158,7 @@ func TestEndToEndCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := CreateDatabase(minisql.FreshDSN())
+	db, err := CreateDatabase(t.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +180,7 @@ func TestEndToEndCluster(t *testing.T) {
 		if err := db.DumpShard(&dump, r); err != nil {
 			t.Fatal(err)
 		}
-		shardDB, err := CreateDatabase(minisql.FreshDSN())
+		shardDB, err := CreateDatabase(t.Name())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,8 +272,7 @@ func TestKeyRoundTrip(t *testing.T) {
 
 	// A database encoded with the original keys must answer queries under
 	// the restored keys.
-	dsn := minisql.FreshDSN()
-	db, err := CreateDatabase(dsn)
+	db, err := CreateDatabase(t.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,8 +300,7 @@ func TestWrongKeysGarbleQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dsn := minisql.FreshDSN()
-	db, err := CreateDatabase(dsn)
+	db, err := CreateDatabase(t.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,8 +333,7 @@ func TestTrieContentSearchPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dsn := minisql.FreshDSN()
-	db, err := CreateDatabase(dsn)
+	db, err := CreateDatabase(t.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +363,7 @@ func TestDumpLoadAcrossDatabases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db1, err := CreateDatabase(minisql.FreshDSN())
+	db1, err := CreateDatabase(t.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,27 +376,31 @@ func TestDumpLoadAcrossDatabases(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db2, err := OpenDatabase(minisql.FreshDSN())
-	if err == nil {
-		// Attach on an empty database fails to prepare; expect error path
-		// to be exercised via LoadFrom instead.
-		defer db2.Close()
-	}
-	db3, err := CreateDatabase(minisql.FreshDSN())
+	db2, err := CreateDatabase(t.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db3.Close()
-	if err := db3.LoadFrom(&dump); err != nil {
+	defer db2.Close()
+	if err := db2.LoadFrom(&dump); err != nil {
 		t.Fatal(err)
 	}
-	session := OpenLocal(keys, db3)
+	session := OpenLocal(keys, db2)
 	res, err := session.Query("//item")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Pres) != 1 {
 		t.Fatalf("after dump/load: //item = %v", res.Pres)
+	}
+
+	// A stream that is not a dump is refused and the loaded contents
+	// stay readable.
+	var de *DumpError
+	if err := db2.LoadFrom(strings.NewReader("not a dump")); !errors.As(err, &de) {
+		t.Fatalf("LoadFrom(garbage) = %v, want a *DumpError", err)
+	}
+	if res, err := session.Query("//item"); err != nil || len(res.Pres) != 1 {
+		t.Fatalf("after a refused load: //item = %v, %v", res, err)
 	}
 }
 
@@ -422,7 +421,7 @@ func TestBadQuerySyntax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := CreateDatabase(minisql.FreshDSN())
+	db, err := CreateDatabase(t.Name())
 	if err != nil {
 		t.Fatal(err)
 	}

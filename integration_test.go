@@ -13,7 +13,6 @@ import (
 	"sync"
 	"testing"
 
-	"encshare/internal/minisql"
 	"encshare/internal/store"
 	"encshare/internal/xmldoc"
 	"encshare/internal/xpath"
@@ -65,7 +64,7 @@ func TestIntegrationRandomizedOracleParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			db, err := CreateDatabase(minisql.FreshDSN())
+			db, err := CreateDatabase(t.Name())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,8 +117,7 @@ func TestIntegrationCorruptedShare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dsn := minisql.FreshDSN()
-	db, err := CreateDatabase(dsn)
+	db, err := CreateDatabase(t.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,15 +127,8 @@ func TestIntegrationCorruptedShare(t *testing.T) {
 	}
 
 	// Corrupt the root's share to an out-of-range value (all 0xFF exceeds
-	// q^n - 1 for F_83), going through the store API so the test covers
-	// whichever engine backs the table.
-	st, err := store.Open(dsn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Attach(); err != nil {
-		t.Fatal(err)
-	}
+	// q^n - 1 for F_83), going through the store API.
+	st := db.st
 	root, err := st.Node(1)
 	if err != nil {
 		t.Fatal(err)
@@ -155,19 +146,9 @@ func TestIntegrationCorruptedShare(t *testing.T) {
 // TestIntegrationStoreErrNotFound: ErrNotFound propagates with errors.Is
 // semantics through the store layer.
 func TestIntegrationStoreErrNotFound(t *testing.T) {
-	dsn := minisql.FreshDSN()
-	st, err := store.Open(dsn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		st.Close()
-		minisql.Drop(dsn)
-	}()
-	if err := st.Init(); err != nil {
-		t.Fatal(err)
-	}
-	_, err = st.Node(42)
+	st := store.New(store.Options{})
+	defer st.Close()
+	_, err := st.Node(42)
 	if err == nil || !strings.Contains(err.Error(), "not found") {
 		t.Fatalf("err = %v", err)
 	}
@@ -182,7 +163,7 @@ func TestIntegrationConcurrentSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := CreateDatabase(minisql.FreshDSN())
+	db, err := CreateDatabase(t.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +223,7 @@ func TestIntegrationExtensionField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := CreateDatabase(minisql.FreshDSN())
+	db, err := CreateDatabase(t.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +256,7 @@ func TestIntegrationEngineWorkOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := CreateDatabase(minisql.FreshDSN())
+	db, err := CreateDatabase(t.Name())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package btree implements an in-memory B-tree keyed by (int64 key,
-// int64 rowid) pairs. It is the index substrate of the embedded SQL engine
-// (internal/minisql), standing in for the B-tree indexes the paper adds to
-// the pre, post and parent columns of its MySQL table (§5.1).
+// int64 rowid) pairs: the kind of index the paper adds to the pre, post and
+// parent columns of its MySQL table (§5.1). Nothing in the module imports
+// it; internal/store keeps its own paged B+-tree.
 //
 // Duplicate keys are supported by making the rowid part of the ordering:
 // entries are totally ordered by (key, rowid). Range scans visit entries

@@ -13,7 +13,6 @@ import (
 	"encshare/internal/filter"
 	"encshare/internal/gf"
 	"encshare/internal/mapping"
-	"encshare/internal/minisql"
 	"encshare/internal/prg"
 	"encshare/internal/ring"
 	"encshare/internal/rmi"
@@ -43,18 +42,8 @@ func buildFixture(t testing.TB, doc *xmldoc.Doc) *fixture {
 	}
 	r := ring.MustNew(f)
 	scheme := secshare.New(r, prg.New([]byte("cluster-test")))
-	dsn := minisql.FreshDSN()
-	st, err := store.Open(dsn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Init(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		st.Close()
-		minisql.Drop(dsn)
-	})
+	st := store.New(store.Options{})
+	t.Cleanup(func() { st.Close() })
 	if _, err := encoder.EncodeDoc(doc, encoder.Options{Map: m, Scheme: scheme}, st); err != nil {
 		t.Fatal(err)
 	}

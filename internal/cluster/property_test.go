@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"encshare/internal/cluster"
-	"encshare/internal/minisql"
 	"encshare/internal/store"
 )
 
@@ -15,18 +14,8 @@ import (
 // is needed and sizes can range freely.
 func randomStore(t *testing.T, rng *rand.Rand, n int) *store.Store {
 	t.Helper()
-	dsn := minisql.FreshDSN()
-	st, err := store.Open(dsn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Init(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		st.Close()
-		minisql.Drop(dsn)
-	})
+	st := store.New(store.Options{})
+	t.Cleanup(func() { st.Close() })
 	for pre := int64(1); pre <= int64(n); pre++ {
 		poly := make([]byte, 1+rng.Intn(40))
 		rng.Read(poly)
@@ -102,12 +91,7 @@ func TestPartitionSplitProperty(t *testing.T) {
 				cleanup()
 				t.Fatal(err)
 			}
-			dsn := minisql.FreshDSN()
-			loaded, err := store.Open(dsn)
-			if err != nil {
-				cleanup()
-				t.Fatal(err)
-			}
+			loaded := store.New(store.Options{})
 			if err := loaded.Load(&dump); err != nil {
 				cleanup()
 				t.Fatal(err)
@@ -128,7 +112,6 @@ func TestPartitionSplitProperty(t *testing.T) {
 			}
 			rebuilt = append(rebuilt, rows...)
 			loaded.Close()
-			minisql.Drop(dsn)
 		}
 		cleanup()
 

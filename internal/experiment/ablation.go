@@ -5,9 +5,9 @@ import (
 	"time"
 
 	"encshare/internal/gf"
-	"encshare/internal/minisql"
 	"encshare/internal/prg"
 	"encshare/internal/ring"
+	"encshare/internal/store"
 )
 
 // AblationDescendants compares the boundary-optimized descendant scan
@@ -72,55 +72,57 @@ func AblationDescendants(env *Env) (*Table, error) {
 	return t, nil
 }
 
-// AblationIndexes measures why the paper indexes pre/post/parent: point
-// child lookups against an indexed vs unindexed table.
+// AblationIndexes measures why the paper indexes parent (§5.1): child
+// lookups through the (parent, pre) B⁺-tree against a scan of the whole
+// table filtered on parent, over the same rows.
 func AblationIndexes(rows int64) (*Table, error) {
-	build := func(indexed bool) (*minisql.DB, error) {
-		db := minisql.NewDB()
-		if _, err := db.Exec("CREATE TABLE nodes (pre BIGINT PRIMARY KEY, post BIGINT NOT NULL, parent BIGINT NOT NULL, poly BLOB)"); err != nil {
+	st := store.New(store.Options{})
+	defer st.Close()
+	blob := make([]byte, 66)
+	for i := int64(1); i <= rows; i++ {
+		if err := st.InsertNode(store.NodeRow{Pre: i, Post: rows - i + 1, Parent: i / 2, Poly: blob}); err != nil {
 			return nil, err
 		}
-		if indexed {
-			if _, err := db.Exec("CREATE INDEX idx_parent ON nodes (parent)"); err != nil {
-				return nil, err
-			}
-		}
-		blob := make([]byte, 66)
-		for i := int64(1); i <= rows; i++ {
-			if _, err := db.Exec("INSERT INTO nodes VALUES (?, ?, ?, ?)", i, rows-i+1, i/2, blob); err != nil {
-				return nil, err
-			}
-		}
-		return db, nil
 	}
-	measure := func(db *minisql.DB) (time.Duration, error) {
+	const lookups = 200
+	// measure returns the mean time per lookup and the children found.
+	measure := func(children func(parent int64) (int, error)) (time.Duration, int, error) {
+		found := 0
 		start := time.Now()
-		const lookups = 200
 		for i := int64(0); i < lookups; i++ {
-			if _, _, err := db.Query("SELECT pre FROM nodes WHERE parent = ?", i%(rows/2+1)); err != nil {
-				return 0, err
+			n, err := children(i % (rows/2 + 1))
+			if err != nil {
+				return 0, 0, err
+			}
+			found += n
+		}
+		return time.Since(start) / lookups, found, nil
+	}
+	di, ni, err := measure(func(parent int64) (int, error) {
+		kids, err := st.ChildrenMeta(parent)
+		return len(kids), err
+	})
+	if err != nil {
+		return nil, err
+	}
+	dn, nn, err := measure(func(parent int64) (int, error) {
+		all, err := st.Range(1, rows)
+		n := 0
+		for _, r := range all {
+			if r.Parent == parent {
+				n++
 			}
 		}
-		return time.Since(start) / lookups, nil
-	}
-	withIdx, err := build(true)
+		return n, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	without, err := build(false)
-	if err != nil {
-		return nil, err
-	}
-	di, err := measure(withIdx)
-	if err != nil {
-		return nil, err
-	}
-	dn, err := measure(without)
-	if err != nil {
-		return nil, err
+	if ni != nn {
+		return nil, fmt.Errorf("experiment: indexed lookups found %d children, the scan %d", ni, nn)
 	}
 	t := &Table{
-		Title:  fmt.Sprintf("Ablation — B-tree index on parent (%d rows, per child lookup)", rows),
+		Title:  fmt.Sprintf("Ablation — index on parent (%d rows, per child lookup)", rows),
 		Header: []string{"variant", "µs/lookup"},
 		Rows: [][]string{
 			{"indexed (paper §5.1)", fmt.Sprintf("%.1f", float64(di.Nanoseconds())/1000)},

@@ -16,7 +16,6 @@ import (
 	"encshare/internal/filter"
 	"encshare/internal/gf"
 	"encshare/internal/mapping"
-	"encshare/internal/minisql"
 	"encshare/internal/prg"
 	"encshare/internal/ring"
 	"encshare/internal/secshare"
@@ -92,8 +91,6 @@ type Env struct {
 	Simple   *engine.Simple
 	Advanced *engine.Advanced
 	Oracle   *xpath.Oracle
-
-	dsn string
 }
 
 // NewEnv generates an XMark document at the given scale, encodes it with
@@ -114,19 +111,9 @@ func NewEnv(scale float64, seed int64) (*Env, error) {
 	}
 	scheme := secshare.New(r, prg.New([]byte(fmt.Sprintf("experiment-%d", seed))))
 
-	dsn := minisql.FreshDSN()
-	st, err := store.Open(dsn)
-	if err != nil {
-		return nil, err
-	}
-	if err := st.Init(); err != nil {
-		st.Close()
-		minisql.Drop(dsn)
-		return nil, err
-	}
+	st := store.New(store.Options{})
 	if _, err := encoder.EncodeDoc(doc, encoder.Options{Map: m, Scheme: scheme}, st); err != nil {
 		st.Close()
-		minisql.Drop(dsn)
 		return nil, err
 	}
 	cli := filter.NewClient(filter.NewServerFilter(st, r, 4096), scheme)
@@ -140,15 +127,11 @@ func NewEnv(scale float64, seed int64) (*Env, error) {
 		Simple:   engine.NewSimple(cli, m),
 		Advanced: engine.NewAdvanced(cli, m),
 		Oracle:   xpath.NewOracle(doc),
-		dsn:      dsn,
 	}, nil
 }
 
 // Close releases the environment's database.
-func (e *Env) Close() {
-	e.Store.Close()
-	minisql.Drop(e.dsn)
-}
+func (e *Env) Close() { e.Store.Close() }
 
 // Table1Queries are the nine queries of increasing length (paper Table 1).
 var Table1Queries = []string{

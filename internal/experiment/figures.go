@@ -8,7 +8,6 @@ import (
 	"encshare/internal/engine"
 	"encshare/internal/gf"
 	"encshare/internal/mapping"
-	"encshare/internal/minisql"
 	"encshare/internal/prg"
 	"encshare/internal/ring"
 	"encshare/internal/secshare"
@@ -49,17 +48,9 @@ func Encoding(scales []float64, seed int64) (*Table, error) {
 			return nil, err
 		}
 		scheme := secshare.New(r, prg.New([]byte(fmt.Sprintf("fig4-%d", seed))))
-		dsn := minisql.FreshDSN()
-		st, err := store.Open(dsn)
-		if err != nil {
-			return nil, err
-		}
-		if err := st.Init(); err != nil {
-			return nil, err
-		}
+		st := store.New(store.Options{})
 		stats, err := encoder.EncodeDoc(doc, encoder.Options{Map: m, Scheme: scheme}, st)
 		st.Close()
-		minisql.Drop(dsn)
 		if err != nil {
 			return nil, err
 		}

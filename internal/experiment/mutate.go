@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"encshare"
-	"encshare/internal/minisql"
 	"encshare/internal/server"
 	"encshare/internal/store"
 	"encshare/internal/wal"
@@ -85,7 +84,7 @@ func newMutateDB(cfg MutateConfig) (*encshare.Keys, *encshare.Database, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	db, err := encshare.CreateDatabase(minisql.FreshDSN())
+	db, err := encshare.CreateDatabase("mutate")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -214,15 +213,8 @@ func mutateConcurrentArm(cfg MutateConfig, sessions int, perAppendSync bool) (ti
 
 	// The runtime is driven directly (not through Database.Serve) so the
 	// arm can flip WALPerAppendSync and read the append/fsync counters.
-	dsn := minisql.FreshDSN()
-	st, err := store.Open(dsn)
-	if err != nil {
-		return 0, tw, err
-	}
-	defer func() { st.Close(); minisql.Drop(dsn) }()
-	if err := st.Init(); err != nil {
-		return 0, tw, err
-	}
+	st := store.New(store.Options{})
+	defer st.Close()
 	var dump bytes.Buffer
 	if err := db.DumpTo(&dump); err != nil {
 		return 0, tw, err

@@ -9,51 +9,39 @@ import (
 	"testing"
 	"time"
 
-	"encshare/internal/minisql"
 	"encshare/internal/store"
 )
 
-// StoreEngines benchmarks the v2 paged storage engine against the v1
-// minisql oracle on identical contents: point lookups, child fetches,
-// cold and warm subtree scans, the metadata-only scan behind frontier
-// expansion, and the mutation apply path. Both stores are loaded from
-// one dump of the environment's table, so every number compares the same
-// rows.
-func StoreEngines(env *Env) (*Table, error) {
+// StoreEngine prices every operation class the query and mutation
+// pipelines issue against the storage engine — point lookups, child
+// fetches, cold and warm subtree scans, the metadata-only scan behind
+// frontier expansion, and the mutation apply path — as absolute time
+// and allocations per row touched. The table under test is loaded from
+// one dump of the environment's.
+func StoreEngine(env *Env) (*Table, error) {
 	var img bytes.Buffer
 	if err := env.Store.Dump(&img); err != nil {
 		return nil, err
 	}
-	open := func(eng store.Engine) (*store.Store, string, error) {
-		dsn := minisql.FreshDSN()
-		s, err := store.OpenWith(dsn, store.Options{Engine: eng})
-		if err != nil {
-			return nil, "", err
-		}
+	load := func() (*store.Store, error) {
+		s := store.New(store.Options{})
 		if err := s.Load(bytes.NewReader(img.Bytes())); err != nil {
 			s.Close()
-			minisql.Drop(dsn)
-			return nil, "", err
+			return nil, err
 		}
-		return s, dsn, nil
+		return s, nil
 	}
+	s, err := load()
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
 
-	v1, dsn1, err := open(store.EngineV1)
+	root, err := s.Root()
 	if err != nil {
 		return nil, err
 	}
-	defer func() { v1.Close(); minisql.Drop(dsn1) }()
-	v2, dsn2, err := open(store.EngineV2)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { v2.Close(); minisql.Drop(dsn2) }()
-
-	root, err := v2.Root()
-	if err != nil {
-		return nil, err
-	}
-	lo, hi, err := v2.MinMaxPre()
+	lo, hi, err := s.MinMaxPre()
 	if err != nil {
 		return nil, err
 	}
@@ -64,142 +52,119 @@ func StoreEngines(env *Env) (*Table, error) {
 	}
 
 	t := &Table{
-		Title:  "Storage engine — v2 (paged) vs v1 (minisql oracle)",
-		Header: []string{"operation", "v1 µs", "v2 µs", "speedup"},
+		Title:  "Storage engine — time and allocations per row",
+		Header: []string{"operation", "rows/op", "µs/op", "ns/row", "allocs/row"},
 	}
-	// Each engine runs several blocks of reps and reports its median
-	// block average. The median drops host-noise spikes (scheduler
-	// preemption, a background build) without also censoring the
-	// engine's own GC cost the way a minimum would — an engine that
-	// allocates per row pays for it in most blocks, and should. The GC
-	// fence before each measurement keeps one engine's garbage from
-	// being collected on the other engine's clock.
+	addRow := func(name string, d time.Duration, rows int, allocs float64) {
+		t.Rows = append(t.Rows, []string{
+			name,
+			fmt.Sprintf("%d", rows),
+			fmt.Sprintf("%.1f", float64(d.Nanoseconds())/1e3),
+			fmt.Sprintf("%.1f", float64(d.Nanoseconds())/float64(rows)),
+			fmt.Sprintf("%.4f", allocs/float64(rows)),
+		})
+	}
+
+	// Cold subtree scan: a fresh handle, first touch of every heap page
+	// through an empty pool.
+	cold, err := load()
+	if err != nil {
+		return nil, err
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	rows, err := cold.Descendants(root.Pre, root.Post)
+	d := time.Since(start)
+	runtime.ReadMemStats(&after)
+	cold.Close()
+	if err != nil {
+		return nil, err
+	}
+	addRow("subtree scan (cold)", d, len(rows), float64(after.Mallocs-before.Mallocs))
+
+	// Each warm operation runs several blocks of reps and reports its
+	// median block average. The median drops host-noise spikes
+	// (scheduler preemption, a background build) without also censoring
+	// the engine's own GC cost the way a minimum would. The GC fence
+	// before each measurement keeps one operation's garbage from being
+	// collected on the next one's clock. op returns the rows it touched.
 	const blocks = 5
-	measure := func(s *store.Store, reps int, op func(*store.Store) error) (time.Duration, error) {
+	row := func(name string, reps int, op func() (int, error)) error {
 		ds := make([]time.Duration, 0, blocks)
+		var n int
 		runtime.GC()
 		for b := 0; b < blocks; b++ {
 			start := time.Now()
 			for i := 0; i < reps; i++ {
-				if err := op(s); err != nil {
-					return 0, err
+				var err error
+				if n, err = op(); err != nil {
+					return err
 				}
 			}
 			ds = append(ds, time.Since(start)/time.Duration(reps))
 		}
 		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-		return ds[blocks/2], nil
-	}
-	row := func(name string, reps int, op func(*store.Store) error) error {
-		d1, err := measure(v1, reps, op)
-		if err != nil {
-			return err
-		}
-		d2, err := measure(v2, reps, op)
-		if err != nil {
-			return err
-		}
-		t.Rows = append(t.Rows, []string{
-			name,
-			fmt.Sprintf("%.1f", float64(d1.Nanoseconds())/1e3),
-			fmt.Sprintf("%.1f", float64(d2.Nanoseconds())/1e3),
-			fmt.Sprintf("%.2fx", float64(d1)/float64(d2)),
-		})
+		allocs := testing.AllocsPerRun(reps, func() { op() })
+		addRow(name, ds[blocks/2], n, allocs)
 		return nil
 	}
 
-	// Cold subtree scan: fresh handles, first touch of every heap page
-	// (the v2 pool starts empty; v1 re-prepares its statements).
-	coldOp := func(eng store.Engine) (time.Duration, error) {
-		s, dsn, err := open(eng)
-		if err != nil {
-			return 0, err
-		}
-		defer func() { s.Close(); minisql.Drop(dsn) }()
-		start := time.Now()
-		if _, err := s.Descendants(root.Pre, root.Post); err != nil {
-			return 0, err
-		}
-		return time.Since(start), nil
-	}
-	c1, err := coldOp(store.EngineV1)
-	if err != nil {
-		return nil, err
-	}
-	c2, err := coldOp(store.EngineV2)
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, []string{
-		"subtree scan (cold)",
-		fmt.Sprintf("%.1f", float64(c1.Nanoseconds())/1e3),
-		fmt.Sprintf("%.1f", float64(c2.Nanoseconds())/1e3),
-		fmt.Sprintf("%.2fx", float64(c1)/float64(c2)),
-	})
-
-	if err := row("point lookup", 6, func(s *store.Store) error {
+	if err := row("point lookup", 6, func() (int, error) {
 		for _, pre := range pres {
 			if _, err := s.Node(pre); err != nil {
-				return err
+				return 0, err
 			}
 		}
-		return nil
+		return len(pres), nil
 	}); err != nil {
 		return nil, err
 	}
-	if err := row("children", 6, func(s *store.Store) error {
+	if err := row("children", 6, func() (int, error) {
+		n := 0
 		for _, pre := range pres[:128] {
-			if _, err := s.Children(pre); err != nil {
-				return err
+			kids, err := s.Children(pre)
+			if err != nil {
+				return 0, err
 			}
+			n += len(kids)
 		}
-		return nil
+		return n, nil
 	}); err != nil {
 		return nil, err
 	}
-	var warmSpeedup float64
-	if err := row("subtree scan (warm)", 8, func(s *store.Store) error {
-		_, err := s.Descendants(root.Pre, root.Post)
-		return err
+	if err := row("subtree scan (warm)", 8, func() (int, error) {
+		rows, err := s.Descendants(root.Pre, root.Post)
+		return len(rows), err
 	}); err != nil {
 		return nil, err
 	}
-	fmt.Sscanf(t.Rows[len(t.Rows)-1][3], "%fx", &warmSpeedup)
-	if err := row("meta-only scan", 8, func(s *store.Store) error {
-		return s.VisitDescendantsMeta(root.Pre, root.Post, func(_, _, _ int64) {})
+	if err := row("meta-only scan", 8, func() (int, error) {
+		n := 0
+		err := s.VisitDescendantsMeta(root.Pre, root.Post, func(_, _, _ int64) { n++ })
+		return n, err
 	}); err != nil {
 		return nil, err
 	}
-	if err := row("mutation apply", 4, func(s *store.Store) error {
+	if err := row("mutation apply", 4, func() (int, error) {
 		for _, pre := range pres[:128] {
 			n, err := s.Node(pre)
 			if err != nil {
-				return err
+				return 0, err
 			}
 			if err := s.UpdateNode(pre, n); err != nil {
-				return err
+				return 0, err
 			}
 		}
-		return nil
+		return 128, nil
 	}); err != nil {
 		return nil, err
 	}
 
-	// Allocation profile of the v2 meta-only scan: the reply framer's
-	// fast path must not allocate per visited row.
-	var visited int64
-	allocs := testing.AllocsPerRun(10, func() {
-		v2.VisitDescendantsMeta(root.Pre, root.Post, func(_, _, _ int64) { visited++ })
-	})
-	perRow := allocs / float64(visited/11) // AllocsPerRun runs the body 11 times
-	if ps, ok := v2.PoolStats(); ok {
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"v2 pool: %d/%d pages resident, %d hits, %d misses, %d evictions",
-			ps.Resident, ps.Pages, ps.Hits, ps.Misses, ps.Evictions))
-	}
+	ps := s.PoolStats()
 	t.Notes = append(t.Notes, fmt.Sprintf(
-		"v2 meta-only scan allocates %.4f per visited row (%.1f per scan)", perRow, allocs))
-	t.Notes = append(t.Notes, fmt.Sprintf(
-		"warm subtree scan speedup %.2fx (target ≥3x)", warmSpeedup))
+		"pool: %d/%d pages resident, %d hits, %d misses, %d evictions",
+		ps.Resident, ps.Pages, ps.Hits, ps.Misses, ps.Evictions))
 	return t, nil
 }

@@ -1,9 +1,6 @@
 package minisql
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 // FuzzParseSQL guards the SQL front end against panics on arbitrary
 // statement text.
@@ -38,16 +35,5 @@ func FuzzParseSQL(f *testing.F) {
 		if nparams < 0 {
 			t.Fatalf("parse(%q) returned negative param count", src)
 		}
-	})
-}
-
-// FuzzLoadDump guards the persistence decoder against malformed input.
-func FuzzLoadDump(f *testing.F) {
-	f.Add([]byte("not a dump"))
-	f.Add([]byte{})
-	f.Add([]byte{0x0d, 0x7f, 0x04, 0x01, 0x02, 0xff, 0x81})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		db := NewDB()
-		_ = db.Load(bytes.NewReader(data)) // must not panic
 	})
 }

@@ -32,7 +32,6 @@ import (
 
 	"encshare/internal/filter"
 	"encshare/internal/gf"
-	"encshare/internal/minisql"
 	"encshare/internal/obs"
 	"encshare/internal/ring"
 	"encshare/internal/rmi"
@@ -127,12 +126,9 @@ type Tenant struct {
 	// batch pays its own fdatasync. The pre-group-commit baseline, kept
 	// for the mutation experiment's comparison arm.
 	WALPerAppendSync bool
-	// Engine selects the storage engine AttachFile builds the tenant's
-	// table on ("" or "v2" = paged engine, "v1" = minisql oracle).
-	// Ignored by AttachStore, where the caller already opened the store.
-	Engine string
-	// PoolPages bounds the tenant's v2 buffer pool. Zero derives a quota
-	// from CacheEntries (see poolPages); ignored by the v1 engine.
+	// PoolPages bounds the buffer pool of the table AttachFile builds.
+	// Zero derives a quota from CacheEntries (see poolPages). Ignored by
+	// AttachStore, where the caller already built the store.
 	PoolPages int
 }
 
@@ -187,8 +183,7 @@ type Config struct {
 type tenantState struct {
 	cfg   Tenant
 	st    *store.Store
-	dsn   string // fresh DSN to drop, when the runtime opened the store
-	owned bool
+	owned bool // the runtime built the store and closes it on detach
 	sf    *filter.ServerFilter
 	mut   *filter.Mutable   // always set: the registered (writable) API
 	log   *wal.Log          // nil when cfg.WALDir is empty
@@ -336,23 +331,13 @@ func (rt *Runtime) budgetLeft(skip string) int {
 // exists, t.Path otherwise; with a WALDir, the tail of wal.log is then
 // replayed on top, so a restarted server recovers exactly the batches
 // it acknowledged. The runtime owns the store: Detach (and a failed
-// attach) closes it and drops its backing DSN.
+// attach) closes it.
 func (rt *Runtime) AttachFile(t Tenant) error {
-	eng, err := store.ParseEngine(t.Engine)
-	if err != nil {
-		return err
-	}
-	dsn := minisql.FreshDSN()
-	st, err := store.OpenWith(dsn, store.Options{Engine: eng, PoolPages: t.poolPages()})
-	if err != nil {
-		return err
-	}
-	if err := st.Init(); err != nil {
-		st.Close()
-		minisql.Drop(dsn)
-		return err
-	}
-	var lastSeq uint64
+	st := store.New(store.Options{PoolPages: t.poolPages()})
+	var (
+		err     error
+		lastSeq uint64
+	)
 	fromSnap := false
 	if t.WALDir != "" {
 		seq, body, serr := wal.OpenSnapshotAt(tenantFS(t), filepath.Join(t.WALDir, walSnapName))
@@ -374,11 +359,10 @@ func (rt *Runtime) AttachFile(t Tenant) error {
 		}
 	}
 	if err == nil {
-		err = rt.attach(t, st, dsn, true, lastSeq)
+		err = rt.attach(t, st, true, lastSeq)
 	}
 	if err != nil {
 		st.Close()
-		minisql.Drop(dsn)
 		return fmt.Errorf("server: attaching tenant %q from %s: %w", t.Name, t.Path, err)
 	}
 	return nil
@@ -389,10 +373,10 @@ func (rt *Runtime) AttachFile(t Tenant) error {
 // open. With a WALDir, wal.log is replayed over the caller's store
 // (snapshots are not consulted — the caller supplies the base state).
 func (rt *Runtime) AttachStore(t Tenant, st *store.Store) error {
-	return rt.attach(t, st, "", false, 0)
+	return rt.attach(t, st, false, 0)
 }
 
-func (rt *Runtime) attach(t Tenant, st *store.Store, dsn string, owned bool, lastSeq uint64) error {
+func (rt *Runtime) attach(t Tenant, st *store.Store, owned bool, lastSeq uint64) error {
 	f, err := gf.New(normParams(t.P, t.E))
 	if err != nil {
 		return err
@@ -414,7 +398,7 @@ func (rt *Runtime) attach(t Tenant, st *store.Store, dsn string, owned bool, las
 			t.Name, t.quota(), left, rt.cfg.CacheBudget)
 	}
 	opts := filter.ServerOptions{Workers: t.Workers}
-	ts := &tenantState{cfg: t, st: st, dsn: dsn, owned: owned}
+	ts := &tenantState{cfg: t, st: st, owned: owned}
 	if rt.shared != nil {
 		opts.Cache = rt.shared
 		opts.CacheKeyBase = rt.slots * tenantKeySpacing
@@ -586,9 +570,10 @@ func (rt *Runtime) Compact(name string) error {
 }
 
 // Detach unregisters the named tenant: subsequent frames naming it get
-// an unknown-tenant error, and a runtime-owned store is closed and
-// dropped. In-flight calls already dispatched may fail as the store
-// goes away — detach during a drain, not under live tenant traffic.
+// an unknown-tenant error, and a runtime-owned store is closed, which
+// frees its table. In-flight calls already dispatched may fail as the
+// store goes away — detach during a drain, not under live tenant
+// traffic.
 func (rt *Runtime) Detach(name string) error {
 	rt.mu.Lock()
 	ts, ok := rt.tenants[name]
@@ -612,7 +597,6 @@ func (rt *Runtime) Detach(name string) error {
 	}
 	if ts.owned {
 		ts.st.Close()
-		minisql.Drop(ts.dsn)
 	}
 	return nil
 }
@@ -725,9 +709,8 @@ func (rt *Runtime) Metrics() *obs.Registry {
 			emit(obs.Sample{Name: "encshare_lease_acquires_total", Help: "writer-lease grants (extensions included)", Type: obs.TypeCounter, Labels: lbl, Value: float64(dw.LeaseAcquires)})
 			emit(obs.Sample{Name: "encshare_lease_expirations_total", Help: "expired writer leases fenced or taken over", Type: obs.TypeCounter, Labels: lbl, Value: float64(dw.LeaseExpirations)})
 		}
-		// Buffer-pool families of the v2 storage engine, emitted for
-		// every tenant (zeros on v1, which has no pool) so scrapes see a
-		// stable set. Hits/(hits+misses) is the page hit rate.
+		// Buffer-pool families, emitted for every tenant. Hits/(hits+misses)
+		// is the page hit rate.
 		for name, ps := range rt.PoolStats() {
 			if name == "" {
 				name = "default"
@@ -776,15 +759,13 @@ func (rt *Runtime) WALStats() map[string]TenantWAL {
 }
 
 // PoolStats returns every tenant's buffer-pool counters, keyed by
-// tenant name. Tenants on the v1 engine (no pool) report zeros, so the
-// metric families stay present across the fleet.
+// tenant name.
 func (rt *Runtime) PoolStats() map[string]store.PoolStats {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	out := make(map[string]store.PoolStats, len(rt.tenants))
 	for name, ts := range rt.tenants {
-		ps, _ := ts.st.PoolStats()
-		out[name] = ps
+		out[name] = ts.st.PoolStats()
 	}
 	return out
 }

@@ -5,15 +5,13 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"encshare/internal/minisql"
 )
 
-// v2 dump format: a 40-byte header followed by the raw heap page images
-// in page-ID order. Index pages are NOT dumped — the B⁺-trees are
-// rebuilt on load — so Dump byte-determinism is a property of the heap
-// pages alone, which insert/update/delete keep deterministic (stable
-// slots, deterministic splits).
+// Dump format: a 40-byte header followed by the raw heap page images in
+// page-ID order. Index pages are NOT dumped — the B⁺-trees are rebuilt
+// on load — so Dump byte-determinism is a property of the heap pages
+// alone, which insert/update/delete keep deterministic (stable slots,
+// deterministic splits).
 //
 //	[ 0:16) magic "encshare-pagesv2"
 //	[16:20) version  uint32 = 1
@@ -22,32 +20,52 @@ import (
 //	[28:32) firstHeap uint32
 //	[32:40) rowCount uint64
 //	then nPages × pageSize bytes, pages 1..nPages
-//
-// Store.Load sniffs the first 16 bytes, so either engine loads either
-// format: a v2 server attaches v1 gob files and vice versa (the
-// -engine v1 oracle legs in CI rely on this).
 const (
 	v2Magic     = "encshare-pagesv2"
 	v2Version   = 1
 	v2HeaderLen = 40
 )
 
-func (s *v2store) Dump(w io.Writer) error {
-	tb := s.tbl
-	tb.mu.RLock()
-	defer tb.mu.RUnlock()
-	tb.pool.flush(spaceHeap)
+// DumpError is the error Load returns for a stream it refuses: one that
+// is not a page file of this format, ends early, or holds a page that
+// breaks the slotted-page invariants. The table is left as it was.
+type DumpError struct {
+	Page   uint32 // 1-based page at fault; 0 for the header and file-wide checks
+	Reason string
+	Err    error // the underlying read error, if any
+}
+
+func (e *DumpError) Error() string {
+	msg := "store: load: "
+	if e.Page > 0 {
+		msg += fmt.Sprintf("page %d: ", e.Page)
+	}
+	msg += e.Reason
+	if e.Err != nil {
+		msg += ": " + e.Err.Error()
+	}
+	return msg
+}
+
+func (e *DumpError) Unwrap() error { return e.Err }
+
+// Dump serializes the table as raw heap page images, byte-deterministic
+// across replicas applying the same op sequence.
+func (s *Store) Dump(w io.Writer) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	s.pool.flush(spaceHeap)
 	var hdr [v2HeaderLen]byte
 	copy(hdr[:16], v2Magic)
 	binary.LittleEndian.PutUint32(hdr[16:], v2Version)
 	binary.LittleEndian.PutUint32(hdr[20:], pageSize)
-	binary.LittleEndian.PutUint32(hdr[24:], uint32(tb.heapPg.count()))
-	binary.LittleEndian.PutUint32(hdr[28:], tb.firstHeap)
-	binary.LittleEndian.PutUint64(hdr[32:], uint64(tb.rowCount))
+	binary.LittleEndian.PutUint32(hdr[24:], uint32(s.heapPg.count()))
+	binary.LittleEndian.PutUint32(hdr[28:], s.firstHeap)
+	binary.LittleEndian.PutUint64(hdr[32:], uint64(s.rowCount))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return fmt.Errorf("store: dump: %w", err)
 	}
-	for _, p := range tb.heapPg.pages {
+	for _, p := range s.heapPg.pages {
 		if _, err := w.Write(p); err != nil {
 			return fmt.Errorf("store: dump: %w", err)
 		}
@@ -55,167 +73,132 @@ func (s *v2store) Dump(w io.Writer) error {
 	return nil
 }
 
-// reset clears the table back to empty (fresh pagers, pool, trees),
-// preserving the pool capacity. Callers hold mu.
-func (tb *pagedTable) reset() {
-	capPages := tb.pool.cap
-	tb.heapPg = &pager{}
-	tb.idxPg = &pager{}
-	tb.pool = newBufferPool(capPages, tb.heapPg, tb.idxPg)
-	tb.pre = newBptree(tb.pool, tb.idxPg)
-	tb.kids = newBptree(tb.pool, tb.idxPg)
-	tb.firstHeap = 0
-	tb.rowCount = 0
-	tb.created = true
-}
-
-// readV2Header validates the stream header and returns its fields.
-func readV2Header(r io.Reader) (nPages, firstHeap uint32, rowCount int64, err error) {
-	var hdr [v2HeaderLen]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, 0, fmt.Errorf("store: load: %w", err)
-	}
-	if string(hdr[:16]) != v2Magic {
-		return 0, 0, 0, fmt.Errorf("store: load: not a v2 page file")
-	}
-	if v := binary.LittleEndian.Uint32(hdr[16:]); v != v2Version {
-		return 0, 0, 0, fmt.Errorf("store: load: v2 dump version %d (want %d)", v, v2Version)
-	}
-	if ps := binary.LittleEndian.Uint32(hdr[20:]); ps != pageSize {
-		return 0, 0, 0, fmt.Errorf("store: load: dump page size %d (want %d)", ps, pageSize)
-	}
-	nPages = binary.LittleEndian.Uint32(hdr[24:])
-	firstHeap = binary.LittleEndian.Uint32(hdr[28:])
-	rowCount = int64(binary.LittleEndian.Uint64(hdr[32:]))
-	return nPages, firstHeap, rowCount, nil
-}
-
-// loadNative restores a v2 dump exactly: page images are adopted
-// verbatim (so dump→load→dump is the identity) and the trees are
-// rebuilt from the live slots.
-func (s *v2store) loadNative(r io.Reader) error {
-	tb := s.tbl
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	nPages, firstHeap, rowCount, err := readV2Header(r)
+// Load replaces the table with a Dump image. The page images are
+// adopted verbatim (dump→load→dump is the byte identity) and the trees
+// are rebuilt from the live slots. The stream is checked page by page
+// into a fresh table that is swapped in only once it is whole, so a
+// refused stream (a *DumpError) leaves the current contents readable.
+func (s *Store) Load(r io.Reader) error {
+	t, err := readDump(r, s.opts.PoolPages)
 	if err != nil {
 		return err
 	}
-	tb.reset()
-	tb.firstHeap = firstHeap
+	s.mu.Lock()
+	s.table = t
+	s.mu.Unlock()
+	return nil
+}
+
+func readDump(r io.Reader, poolPages int) (table, error) {
+	fail := func(page uint32, err error, format string, args ...any) (table, error) {
+		return table{}, &DumpError{Page: page, Reason: fmt.Sprintf(format, args...), Err: err}
+	}
+	var hdr [v2HeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return fail(0, err, "short header")
+	}
+	if string(hdr[:16]) != v2Magic {
+		return fail(0, nil, "not a v2 page file")
+	}
+	if v := binary.LittleEndian.Uint32(hdr[16:]); v != v2Version {
+		return fail(0, nil, "dump version %d (want %d)", v, v2Version)
+	}
+	if ps := binary.LittleEndian.Uint32(hdr[20:]); ps != pageSize {
+		return fail(0, nil, "dump page size %d (want %d)", ps, pageSize)
+	}
+	nPages := binary.LittleEndian.Uint32(hdr[24:])
+	firstHeap := binary.LittleEndian.Uint32(hdr[28:])
+	rowCount := int64(binary.LittleEndian.Uint64(hdr[32:]))
+	if (firstHeap == 0) != (nPages == 0) || firstHeap > nPages {
+		return fail(0, nil, "first heap page %d in a %d-page file", firstHeap, nPages)
+	}
+
+	t := newTable(poolPages)
+	t.firstHeap = firstHeap
 	type entry struct {
 		pre, parent int64
 		r           rid
 	}
 	var entries []entry
+	next := []uint32{0} // next[id] is page id's chain successor
 	for id := uint32(1); id <= nPages; id++ {
-		if got := tb.heapPg.alloc(); got != id {
-			return fmt.Errorf("store: load: page id drift (%d != %d)", got, id)
-		}
-		p := tb.heapPg.pages[id-1]
+		t.heapPg.alloc()
+		p := t.heapPg.pages[id-1]
 		if _, err := io.ReadFull(r, p); err != nil {
-			return fmt.Errorf("store: load: page %d: %w", id, err)
+			return fail(id, err, "short page")
 		}
-		if p[0] != pageTypeHeap {
-			return fmt.Errorf("store: load: page %d has type %q", id, p[0])
+		if err := checkPage(p, nPages); err != nil {
+			return fail(id, nil, "%v", err)
 		}
+		next = append(next, pageNext(p))
 		for i := 0; i < pageNSlots(p); i++ {
-			sl := pageSlot(p, i)
-			if sl == nil {
-				continue
+			if sl := pageSlot(p, i); sl != nil {
+				pre, _, parent := decodeRowMeta(sl)
+				entries = append(entries, entry{pre: pre, parent: parent, r: rid{page: id, slot: uint16(i)}})
 			}
-			if len(sl) < rowHeaderLen {
-				return fmt.Errorf("store: load: page %d slot %d truncated", id, i)
-			}
-			pre, _, parent := decodeRowMeta(sl)
-			entries = append(entries, entry{pre: pre, parent: parent, r: rid{page: id, slot: uint16(i)}})
 		}
 	}
+	seen := make([]bool, nPages+1)
+	visited := uint32(0)
+	for id := firstHeap; id != 0; id = next[id] {
+		if seen[id] {
+			return fail(0, nil, "heap page chain revisits page %d", id)
+		}
+		seen[id] = true
+		visited++
+	}
+	if visited != nPages {
+		return fail(0, nil, "heap page chain reaches %d of %d pages", visited, nPages)
+	}
 	if int64(len(entries)) != rowCount {
-		return fmt.Errorf("store: load: %d live rows but header says %d", len(entries), rowCount)
+		return fail(0, nil, "%d live rows but header says %d", len(entries), rowCount)
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].pre < entries[j].pre })
 	for _, e := range entries {
-		if tb.pre.set(treeKey{a: e.pre}, e.r) {
-			return fmt.Errorf("store: load: duplicate pre %d", e.pre)
+		if t.pre.set(treeKey{a: e.pre}, e.r) {
+			return fail(e.r.page, nil, "duplicate pre %d", e.pre)
 		}
-		tb.kids.set(treeKey{a: e.parent, b: e.pre}, e.r)
+		t.kids.set(treeKey{a: e.parent, b: e.pre}, e.r)
 	}
-	tb.rowCount = rowCount
+	t.rowCount = rowCount
+	return t, nil
+}
+
+// checkPage enforces the slotted-page invariants every later read and
+// write relies on, before any offset in the page is followed: the slot
+// array and the payload stay inside the page, every live slot holds a
+// whole row, the live count matches the slots, and the chain pointer
+// names a page of the file.
+func checkPage(p []byte, nPages uint32) error {
+	if p[0] != pageTypeHeap {
+		return fmt.Errorf("type %q, want %q", p[0], pageTypeHeap)
+	}
+	n, upper := pageNSlots(p), pageUpper(p)
+	if pageHdrLen+slotLen*n > upper || upper > pageSize {
+		return fmt.Errorf("%d slots and payload start %d do not fit the page", n, upper)
+	}
+	live := 0
+	for i := 0; i < n; i++ {
+		off, length := slotAt(p, i)
+		if off == 0 {
+			continue
+		}
+		if off < upper || off+length > pageSize {
+			return fmt.Errorf("slot %d spans [%d, %d), outside the payload [%d, %d)", i, off, off+length, upper, pageSize)
+		}
+		if length < rowHeaderLen {
+			return fmt.Errorf("slot %d holds %d bytes, less than a row header", i, length)
+		}
+		if polyLen := binary.LittleEndian.Uint32(p[off+rowOffPolyLen:]); int64(polyLen) > int64(length-rowHeaderLen) {
+			return fmt.Errorf("slot %d: row poly length %d exceeds the %d-byte slot", i, polyLen, length)
+		}
+		live++
+	}
+	if live != pageLive(p) {
+		return fmt.Errorf("header counts %d live slots, found %d", pageLive(p), live)
+	}
+	if nx := pageNext(p); nx > nPages {
+		return fmt.Errorf("next page %d beyond the %d-page file", nx, nPages)
+	}
 	return nil
-}
-
-// loadRows replaces the table contents with rows (pre-sorted by the
-// caller) through the normal placement path — the cross-format load.
-func (s *v2store) loadRows(rows []NodeRow) error {
-	tb := s.tbl
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	tb.reset()
-	for _, row := range rows {
-		r, err := tb.place(row)
-		if err != nil {
-			return fmt.Errorf("store: load: insert pre=%d: %w", row.Pre, err)
-		}
-		if tb.pre.set(treeKey{a: row.Pre}, r) {
-			return fmt.Errorf("store: load: duplicate pre %d", row.Pre)
-		}
-		tb.kids.set(treeKey{a: row.Parent, b: row.Pre}, r)
-		tb.rowCount++
-	}
-	return nil
-}
-
-// readV2Rows extracts the rows of a v2 dump stream, sorted by pre, for
-// loading into a v1 engine. Poly slices are private copies.
-func readV2Rows(r io.Reader) ([]NodeRow, error) {
-	nPages, _, rowCount, err := readV2Header(r)
-	if err != nil {
-		return nil, err
-	}
-	var rows []NodeRow
-	p := make([]byte, pageSize)
-	for id := uint32(1); id <= nPages; id++ {
-		if _, err := io.ReadFull(r, p); err != nil {
-			return nil, fmt.Errorf("store: load: page %d: %w", id, err)
-		}
-		if p[0] != pageTypeHeap {
-			return nil, fmt.Errorf("store: load: page %d has type %q", id, p[0])
-		}
-		for i := 0; i < pageNSlots(p); i++ {
-			sl := pageSlot(p, i)
-			if sl == nil {
-				continue
-			}
-			row, err := decodeRow(sl)
-			if err != nil {
-				return nil, fmt.Errorf("store: load: page %d slot %d: %w", id, i, err)
-			}
-			row.Poly = append([]byte(nil), row.Poly...)
-			rows = append(rows, row)
-		}
-	}
-	if int64(len(rows)) != rowCount {
-		return nil, fmt.Errorf("store: load: %d live rows but header says %d", len(rows), rowCount)
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Pre < rows[j].Pre })
-	return rows, nil
-}
-
-// readV1Rows extracts the rows of a minisql gob dump, sorted by pre,
-// for loading into a v2 engine.
-func readV1Rows(r io.Reader) ([]NodeRow, error) {
-	db := minisql.NewDB()
-	if err := db.Load(r); err != nil {
-		return nil, fmt.Errorf("store: load: %w", err)
-	}
-	q, err := db.Prepare("SELECT pre, post, parent, poly FROM nodes ORDER BY pre")
-	if err != nil {
-		return nil, fmt.Errorf("store: load: %w", err)
-	}
-	_, vals, err := q.Query()
-	if err != nil {
-		return nil, fmt.Errorf("store: load: %w", err)
-	}
-	return rowsFromValues(vals, true)
 }

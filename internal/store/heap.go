@@ -4,153 +4,62 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"sync"
-
-	"encshare/internal/minisql"
 )
 
-// The v2 engine: slotted heap pages clustered by pre, a B⁺-tree on pre
-// for point lookups and range scans, a (parent, pre) B⁺-tree replacing
-// the parent index, and one CLOCK buffer pool holding both heap and
-// index pages. Descendants(pre) is a tree descent to the first key past
-// pre followed by leaf-chain reads that decode (or, for the *Meta
-// twins, skip) poly blobs straight out of pinned pages — no SQL layer,
-// no per-cell boxing.
-//
-// Tables register under the same DSN namespace as minisql databases so
-// every existing lifecycle call keeps working: Open(dsn) twice shares
-// one table, minisql.Drop(dsn) frees it (via minisql.OnDrop).
-type pagedTable struct {
-	mu sync.RWMutex
-
-	heapPg *pager
-	idxPg  *pager
-	pool   *bufferPool
-	pre    *bptree // (pre, 0) → rid
-	kids   *bptree // (parent, pre) → rid
-
-	firstHeap uint32 // head of the pre-ordered heap page chain
-	rowCount  int64
-	created   bool // Init or Load ran
-
-	scratch []byte // row-encode buffer, reused under mu
-}
-
-var (
-	v2mu     sync.Mutex
-	v2tables = map[string]*pagedTable{}
-)
-
-func init() {
-	// One Drop call releases a DSN whichever engine backs it.
-	minisql.OnDrop(func(name string) {
-		v2mu.Lock()
-		delete(v2tables, name)
-		v2mu.Unlock()
-	})
-}
-
-// v2get returns the table registered under dsn, creating it on demand
-// (mirroring minisql.Get). poolPages only applies to a fresh table.
-func v2get(dsn string, poolPages int) *pagedTable {
-	v2mu.Lock()
-	defer v2mu.Unlock()
-	if tb, ok := v2tables[dsn]; ok {
-		return tb
-	}
-	tb := newPagedTable(poolPages)
-	v2tables[dsn] = tb
-	return tb
-}
-
-func newPagedTable(poolPages int) *pagedTable {
-	tb := &pagedTable{heapPg: &pager{}, idxPg: &pager{}}
-	tb.pool = newBufferPool(poolPages, tb.heapPg, tb.idxPg)
-	tb.pre = newBptree(tb.pool, tb.idxPg)
-	tb.kids = newBptree(tb.pool, tb.idxPg)
-	return tb
-}
-
-// v2store is one Store handle on a pagedTable.
-type v2store struct {
-	dsn string
-	tbl *pagedTable
-}
-
-func (s *v2store) Init() error {
-	tb := s.tbl
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	if tb.created {
-		return fmt.Errorf("store: init: table nodes already exists")
-	}
-	tb.created = true
-	return nil
-}
-
-func (s *v2store) Attach() error {
-	tb := s.tbl
-	tb.mu.RLock()
-	defer tb.mu.RUnlock()
-	if !tb.created {
-		return fmt.Errorf("store: attach: no nodes table under %q", s.dsn)
-	}
-	return nil
-}
-
-func (s *v2store) Close() error { return nil }
-
-func (s *v2store) PoolStats() (PoolStats, bool) {
-	return s.tbl.pool.stats(), true
-}
+// Row access on the paged table: slotted heap pages clustered by pre, a
+// B⁺-tree on pre for point lookups and range scans, a (parent, pre)
+// B⁺-tree for child navigation, and one CLOCK buffer pool holding both
+// heap and index pages. Descendants(pre) is a tree descent to the first
+// key past pre followed by leaf-chain reads that decode (or, for the
+// *Meta twins, skip) poly blobs straight out of pinned pages.
 
 // ---- mutations ----
 
-func (s *v2store) InsertNode(row NodeRow) error {
-	tb := s.tbl
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	if _, ok := tb.pre.get(treeKey{a: row.Pre}); ok {
+// InsertNode stores one row. It satisfies the encoder's RowSink.
+func (s *Store) InsertNode(row NodeRow) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.pre.get(treeKey{a: row.Pre}); ok {
 		return fmt.Errorf("store: insert pre=%d: duplicate key", row.Pre)
 	}
-	r, err := tb.place(row)
+	r, err := s.place(row)
 	if err != nil {
 		return fmt.Errorf("store: insert pre=%d: %w", row.Pre, err)
 	}
-	tb.pre.set(treeKey{a: row.Pre}, r)
-	tb.kids.set(treeKey{a: row.Parent, b: row.Pre}, r)
-	tb.rowCount++
+	s.pre.set(treeKey{a: row.Pre}, r)
+	s.kids.set(treeKey{a: row.Parent, b: row.Pre}, r)
+	s.rowCount++
 	return nil
 }
 
 // place writes row bytes into the heap page its pre clusters to,
 // splitting a full page by pre-median, and returns the RID. Callers
 // hold mu and maintain the trees.
-func (tb *pagedTable) place(row NodeRow) (rid, error) {
+func (s *Store) place(row NodeRow) (rid, error) {
 	if rowSize(row) > maxRowBytes {
 		return rid{}, fmt.Errorf("row of %d bytes exceeds page payload (%d)", rowSize(row), maxRowBytes)
 	}
-	tb.scratch = encodeRow(tb.scratch[:0], row)
+	s.scratch = encodeRow(s.scratch[:0], row)
 
 	var target uint32
-	if tb.rowCount == 0 {
-		if tb.firstHeap == 0 {
-			tb.firstHeap = tb.heapPg.alloc()
-			fi, b := tb.pool.fetch(spaceHeap, tb.firstHeap)
+	if s.rowCount == 0 {
+		if s.firstHeap == 0 {
+			s.firstHeap = s.heapPg.alloc()
+			fi, b := s.pool.fetch(spaceHeap, s.firstHeap)
 			pageInit(b)
-			tb.pool.unpin(fi, true)
+			s.pool.unpin(fi, true)
 		}
-		target = tb.firstHeap
+		target = s.firstHeap
 	} else {
 		// Cluster by pre: land on the page of the successor key, or the
 		// last page when pre is beyond the maximum.
 		found := false
-		tb.pre.scanFrom(treeKey{a: row.Pre, b: minInt64}, func(_ treeKey, r rid) bool {
+		s.pre.scanFrom(treeKey{a: row.Pre, b: minInt64}, func(_ treeKey, r rid) bool {
 			target, found = r.page, true
 			return false
 		})
 		if !found {
-			_, r, ok := tb.pre.max()
+			_, r, ok := s.pre.max()
 			if !ok {
 				return rid{}, fmt.Errorf("index lost its keys (corrupt table)")
 			}
@@ -158,48 +67,48 @@ func (tb *pagedTable) place(row NodeRow) (rid, error) {
 		}
 	}
 
-	fi, b := tb.pool.fetch(spaceHeap, target)
-	if slot, ok := pageInsert(b, tb.scratch); ok {
-		tb.pool.unpin(fi, true)
+	fi, b := s.pool.fetch(spaceHeap, target)
+	if slot, ok := pageInsert(b, s.scratch); ok {
+		s.pool.unpin(fi, true)
 		return rid{page: target, slot: uint16(slot)}, nil
 	}
 	if pageLive(b) < 2 {
 		// Too few live rows to split: the page is clogged with dead
 		// slots and payload residue — rebuild it in place.
-		if err := tb.compactHeap(target, b); err != nil {
-			tb.pool.unpin(fi, true)
+		if err := s.compactHeap(target, b); err != nil {
+			s.pool.unpin(fi, true)
 			return rid{}, err
 		}
-		slot, ok := pageInsert(b, tb.scratch)
-		tb.pool.unpin(fi, true)
+		slot, ok := pageInsert(b, s.scratch)
+		s.pool.unpin(fi, true)
 		if !ok {
-			return rid{}, fmt.Errorf("row of %d bytes does not fit an empty page", len(tb.scratch))
+			return rid{}, fmt.Errorf("row of %d bytes does not fit an empty page", len(s.scratch))
 		}
 		return rid{page: target, slot: uint16(slot)}, nil
 	}
 	// Full: split by pre-median, then land in whichever half owns pre.
-	rightID, rightMin, err := tb.splitHeap(target, fi, b)
+	rightID, rightMin, err := s.splitHeap(target, fi, b)
 	if err != nil {
-		tb.pool.unpin(fi, true)
+		s.pool.unpin(fi, true)
 		return rid{}, err
 	}
 	if row.Pre >= rightMin {
-		tb.pool.unpin(fi, true)
+		s.pool.unpin(fi, true)
 		target = rightID
-		fi, b = tb.pool.fetch(spaceHeap, target)
+		fi, b = s.pool.fetch(spaceHeap, target)
 	}
-	slot, ok := pageInsert(b, tb.scratch)
+	slot, ok := pageInsert(b, s.scratch)
 	if !ok {
-		tb.pool.unpin(fi, true)
-		return rid{}, fmt.Errorf("row of %d bytes does not fit a split page", len(tb.scratch))
+		s.pool.unpin(fi, true)
+		return rid{}, fmt.Errorf("row of %d bytes does not fit a split page", len(s.scratch))
 	}
-	tb.pool.unpin(fi, true)
+	s.pool.unpin(fi, true)
 	return rid{page: target, slot: uint16(slot)}, nil
 }
 
 // compactHeap rebuilds page id in place, keeping only live rows (the
 // caller holds the pin and marks it dirty) and fixing their tree RIDs.
-func (tb *pagedTable) compactHeap(id uint32, b []byte) error {
+func (s *Store) compactHeap(id uint32, b []byte) error {
 	type liveRow struct {
 		pre, parent int64
 		data        []byte
@@ -230,8 +139,8 @@ func (tb *pagedTable) compactHeap(id uint32, b []byte) error {
 			return fmt.Errorf("page %d overflow during compaction", id)
 		}
 		r := rid{page: id, slot: uint16(slot)}
-		tb.pre.set(treeKey{a: rw.pre}, r)
-		tb.kids.set(treeKey{a: rw.parent, b: rw.pre}, r)
+		s.pre.set(treeKey{a: rw.pre}, r)
+		s.kids.set(treeKey{a: rw.parent, b: rw.pre}, r)
 	}
 	return nil
 }
@@ -240,7 +149,7 @@ func (tb *pagedTable) compactHeap(id uint32, b []byte) error {
 // dirty) into two compacted halves by pre order, splices the new right
 // page into the chain, and rewrites the B⁺-tree RIDs of every row on
 // both halves. Returns the new page and its minimum pre.
-func (tb *pagedTable) splitHeap(id uint32, fi int, b []byte) (rightID uint32, rightMin int64, err error) {
+func (s *Store) splitHeap(id uint32, fi int, b []byte) (rightID uint32, rightMin int64, err error) {
 	type liveRow struct {
 		pre, parent int64
 		data        []byte
@@ -269,8 +178,8 @@ func (tb *pagedTable) splitHeap(id uint32, fi int, b []byte) (rightID uint32, ri
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].pre < rows[j].pre })
 
-	rightID = tb.heapPg.alloc()
-	nfi, nb := tb.pool.fetch(spaceHeap, rightID)
+	rightID = s.heapPg.alloc()
+	nfi, nb := s.pool.fetch(spaceHeap, rightID)
 	pageInit(nb)
 	oldNext := pageNext(b)
 	pageInit(b)
@@ -286,92 +195,94 @@ func (tb *pagedTable) splitHeap(id uint32, fi int, b []byte) (rightID uint32, ri
 				return fmt.Errorf("page %d overflow during split rebuild", page)
 			}
 			r := rid{page: page, slot: uint16(slot)}
-			tb.pre.set(treeKey{a: rw.pre}, r)
-			tb.kids.set(treeKey{a: rw.parent, b: rw.pre}, r)
+			s.pre.set(treeKey{a: rw.pre}, r)
+			s.kids.set(treeKey{a: rw.parent, b: rw.pre}, r)
 		}
 		return nil
 	}
 	if err := reinsert(id, b, rows[:h]); err != nil {
-		tb.pool.unpin(nfi, true)
+		s.pool.unpin(nfi, true)
 		return 0, 0, err
 	}
 	if err := reinsert(rightID, nb, rows[h:]); err != nil {
-		tb.pool.unpin(nfi, true)
+		s.pool.unpin(nfi, true)
 		return 0, 0, err
 	}
-	tb.pool.unpin(nfi, true)
+	s.pool.unpin(nfi, true)
 	return rightID, rightMin, nil
 }
 
-func (s *v2store) UpdateNode(oldPre int64, row NodeRow) error {
-	tb := s.tbl
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	r, ok := tb.pre.get(treeKey{a: oldPre})
+// UpdateNode rewrites the row currently stored at oldPre to row —
+// numbering and share blob together, so one call renumbers a shifted
+// row or patches a rebuilt one. ErrNotFound when no row sits at oldPre.
+func (s *Store) UpdateNode(oldPre int64, row NodeRow) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r, ok := s.pre.get(treeKey{a: oldPre})
 	if !ok {
 		return NotFoundError(oldPre)
 	}
 	if row.Pre != oldPre {
-		if _, exists := tb.pre.get(treeKey{a: row.Pre}); exists {
+		if _, exists := s.pre.get(treeKey{a: row.Pre}); exists {
 			return fmt.Errorf("store: update pre=%d: new pre %d duplicates an existing row", oldPre, row.Pre)
 		}
 	}
-	fi, b := tb.pool.fetch(spaceHeap, r.page)
+	fi, b := s.pool.fetch(spaceHeap, r.page)
 	sl := pageSlot(b, int(r.slot))
 	if sl == nil {
-		tb.pool.unpin(fi, false)
+		s.pool.unpin(fi, false)
 		return fmt.Errorf("store: update pre=%d: slot %d/%d is dead (corrupt index)", oldPre, r.page, r.slot)
 	}
 	_, _, oldParent := decodeRowMeta(sl)
-	tb.scratch = encodeRow(tb.scratch[:0], row)
+	s.scratch = encodeRow(s.scratch[:0], row)
 	newRID := r
-	if pageUpdate(b, int(r.slot), tb.scratch) {
+	if pageUpdate(b, int(r.slot), s.scratch) {
 		// In-place rewrite: the slot position is untouched, which is the
 		// property that keeps replicas byte-identical under identical op
 		// streams.
-		tb.pool.unpin(fi, true)
+		s.pool.unpin(fi, true)
 	} else {
 		// The rebuilt row outgrew its slot (only possible when the ring
 		// geometry changed): relocate deterministically.
 		pageDelete(b, int(r.slot))
-		tb.pool.unpin(fi, true)
+		s.pool.unpin(fi, true)
 		var err error
-		newRID, err = tb.place(row)
+		newRID, err = s.place(row)
 		if err != nil {
 			return fmt.Errorf("store: update pre=%d: %w", oldPre, err)
 		}
 	}
 	if row.Pre != oldPre {
-		tb.pre.delete(treeKey{a: oldPre})
+		s.pre.delete(treeKey{a: oldPre})
 	}
-	tb.pre.set(treeKey{a: row.Pre}, newRID)
+	s.pre.set(treeKey{a: row.Pre}, newRID)
 	if oldParent != row.Parent || oldPre != row.Pre {
-		tb.kids.delete(treeKey{a: oldParent, b: oldPre})
+		s.kids.delete(treeKey{a: oldParent, b: oldPre})
 	}
-	tb.kids.set(treeKey{a: row.Parent, b: row.Pre}, newRID)
+	s.kids.set(treeKey{a: row.Parent, b: row.Pre}, newRID)
 	return nil
 }
 
-func (s *v2store) DeleteNode(pre int64) error {
-	tb := s.tbl
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	r, ok := tb.pre.get(treeKey{a: pre})
+// DeleteNode removes the row at pre. ErrNotFound when absent.
+func (s *Store) DeleteNode(pre int64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r, ok := s.pre.get(treeKey{a: pre})
 	if !ok {
 		return NotFoundError(pre)
 	}
-	fi, b := tb.pool.fetch(spaceHeap, r.page)
+	fi, b := s.pool.fetch(spaceHeap, r.page)
 	sl := pageSlot(b, int(r.slot))
 	if sl == nil {
-		tb.pool.unpin(fi, false)
+		s.pool.unpin(fi, false)
 		return fmt.Errorf("store: delete pre=%d: slot %d/%d is dead (corrupt index)", pre, r.page, r.slot)
 	}
 	_, _, parent := decodeRowMeta(sl)
 	pageDelete(b, int(r.slot))
-	tb.pool.unpin(fi, true)
-	tb.pre.delete(treeKey{a: pre})
-	tb.kids.delete(treeKey{a: parent, b: pre})
-	tb.rowCount--
+	s.pool.unpin(fi, true)
+	s.pre.delete(treeKey{a: pre})
+	s.kids.delete(treeKey{a: parent, b: pre})
+	s.rowCount--
 	return nil
 }
 
@@ -380,7 +291,7 @@ func (s *v2store) DeleteNode(pre int64) error {
 // rowAt decodes the row at r. withPoly copies the blob into *arena (one
 // amortized allocation per call chain — page frames are recycled by the
 // pool, so blobs must not alias them past the pin).
-func (tb *pagedTable) rowAt(b []byte, r rid, withPoly bool, arena *[]byte) (NodeRow, error) {
+func (s *Store) rowAt(b []byte, r rid, withPoly bool, arena *[]byte) (NodeRow, error) {
 	sl := pageSlot(b, int(r.slot))
 	if sl == nil {
 		return NodeRow{}, fmt.Errorf("store: slot %d/%d is dead (corrupt index)", r.page, r.slot)
@@ -399,29 +310,32 @@ func (tb *pagedTable) rowAt(b []byte, r rid, withPoly bool, arena *[]byte) (Node
 	return row, nil
 }
 
-func (s *v2store) Node(pre int64) (NodeRow, error)     { return s.node(pre, true) }
-func (s *v2store) NodeMeta(pre int64) (NodeRow, error) { return s.node(pre, false) }
+// Node returns the node at pre.
+func (s *Store) Node(pre int64) (NodeRow, error) { return s.node(pre, true) }
 
-func (s *v2store) node(pre int64, withPoly bool) (NodeRow, error) {
-	tb := s.tbl
-	tb.mu.RLock()
-	defer tb.mu.RUnlock()
-	r, ok := tb.pre.get(treeKey{a: pre})
+// NodeMeta returns the node at pre without its share blob (Poly nil) —
+// the cheap fetch for structural navigation.
+func (s *Store) NodeMeta(pre int64) (NodeRow, error) { return s.node(pre, false) }
+
+func (s *Store) node(pre int64, withPoly bool) (NodeRow, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	r, ok := s.pre.get(treeKey{a: pre})
 	if !ok {
 		return NodeRow{}, NotFoundError(pre)
 	}
-	fi, b := tb.pool.fetch(spaceHeap, r.page)
-	defer tb.pool.unpin(fi, false)
+	fi, b := s.pool.fetch(spaceHeap, r.page)
+	defer s.pool.unpin(fi, false)
 	var arena []byte
-	return tb.rowAt(b, r, withPoly, &arena)
+	return s.rowAt(b, r, withPoly, &arena)
 }
 
-func (s *v2store) Root() (NodeRow, error) {
-	tb := s.tbl
-	tb.mu.RLock()
-	defer tb.mu.RUnlock()
+// Root returns the unique node with parent = 0.
+func (s *Store) Root() (NodeRow, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	var roots []rid
-	tb.kids.scanFrom(treeKey{a: 0, b: minInt64}, func(k treeKey, r rid) bool {
+	s.kids.scanFrom(treeKey{a: 0, b: minInt64}, func(k treeKey, r rid) bool {
 		if k.a != 0 {
 			return false
 		}
@@ -435,10 +349,10 @@ func (s *v2store) Root() (NodeRow, error) {
 	default:
 		return NodeRow{}, fmt.Errorf("store: %d root nodes", len(roots))
 	}
-	fi, b := tb.pool.fetch(spaceHeap, roots[0].page)
-	defer tb.pool.unpin(fi, false)
+	fi, b := s.pool.fetch(spaceHeap, roots[0].page)
+	defer s.pool.unpin(fi, false)
 	var arena []byte
-	row, err := tb.rowAt(b, roots[0], true, &arena)
+	row, err := s.rowAt(b, roots[0], true, &arena)
 	if err != nil {
 		return NodeRow{}, fmt.Errorf("store: root: %w", err)
 	}
@@ -448,14 +362,14 @@ func (s *v2store) Root() (NodeRow, error) {
 // fetchRows materializes rows for a RID list in order, reusing the
 // pinned page across consecutive same-page RIDs (RID lists from tree
 // scans are clustered, so this is ~1 pool fetch per page, not per row).
-func (tb *pagedTable) fetchRows(rids []rid, withPoly bool) ([]NodeRow, error) {
-	return tb.fetchRowsSized(rids, withPoly, 0)
+func (s *Store) fetchRows(rids []rid, withPoly bool) ([]NodeRow, error) {
+	return s.fetchRowsSized(rids, withPoly, 0)
 }
 
 // fetchRowsSized is fetchRows with the total poly byte count known up
 // front (0 = unknown): the arena is allocated once at its final size, so
 // per-row blob copies are straight memmoves with no growth reallocation.
-func (tb *pagedTable) fetchRowsSized(rids []rid, withPoly bool, polyBytes int) ([]NodeRow, error) {
+func (s *Store) fetchRowsSized(rids []rid, withPoly bool, polyBytes int) ([]NodeRow, error) {
 	if len(rids) == 0 {
 		return nil, nil
 	}
@@ -465,7 +379,7 @@ func (tb *pagedTable) fetchRowsSized(rids []rid, withPoly bool, polyBytes int) (
 	fi := -1
 	var b []byte
 	fail := func(err error) ([]NodeRow, error) {
-		tb.pool.unpin(fi, false)
+		s.pool.unpin(fi, false)
 		return nil, err
 	}
 	// The row decode is open-coded here rather than calling rowAt: this
@@ -474,9 +388,9 @@ func (tb *pagedTable) fetchRowsSized(rids []rid, withPoly bool, polyBytes int) (
 	for i, r := range rids {
 		if r.page != cur || fi < 0 {
 			if fi >= 0 {
-				tb.pool.unpin(fi, false)
+				s.pool.unpin(fi, false)
 			}
-			fi, b = tb.pool.fetch(spaceHeap, r.page)
+			fi, b = s.pool.fetch(spaceHeap, r.page)
 			cur = r.page
 		}
 		sl := pageSlot(b, int(r.slot))
@@ -497,26 +411,28 @@ func (tb *pagedTable) fetchRowsSized(rids []rid, withPoly bool, polyBytes int) (
 			out[i].Poly = arena[off:len(arena):len(arena)]
 		}
 	}
-	tb.pool.unpin(fi, false)
+	s.pool.unpin(fi, false)
 	return out, nil
 }
 
-func (s *v2store) Children(pre int64) ([]NodeRow, error)     { return s.children(pre, true) }
-func (s *v2store) ChildrenMeta(pre int64) ([]NodeRow, error) { return s.children(pre, false) }
+// Children returns the child rows of the node at pre, in document order.
+func (s *Store) Children(pre int64) ([]NodeRow, error) { return s.children(pre, true) }
 
-func (s *v2store) children(pre int64, withPoly bool) ([]NodeRow, error) {
-	tb := s.tbl
-	tb.mu.RLock()
-	defer tb.mu.RUnlock()
+// ChildrenMeta is Children without the share blobs.
+func (s *Store) ChildrenMeta(pre int64) ([]NodeRow, error) { return s.children(pre, false) }
+
+func (s *Store) children(pre int64, withPoly bool) ([]NodeRow, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	var rids []rid
-	tb.kids.scanFrom(treeKey{a: pre, b: minInt64}, func(k treeKey, r rid) bool {
+	s.kids.scanFrom(treeKey{a: pre, b: minInt64}, func(k treeKey, r rid) bool {
 		if k.a != pre {
 			return false
 		}
 		rids = append(rids, r)
 		return true
 	})
-	rows, err := tb.fetchRows(rids, withPoly)
+	rows, err := s.fetchRows(rids, withPoly)
 	if err != nil {
 		return nil, fmt.Errorf("store: children of %d: %w", pre, err)
 	}
@@ -528,17 +444,17 @@ func (s *v2store) children(pre int64, withPoly bool) ([]NodeRow, error) {
 // entries decoded straight off pinned heap pages until the first row
 // whose post exceeds post — the subtree boundary, discovered as the
 // scan's own stop condition instead of a separate probe.
-func (tb *pagedTable) scanDesc(pre, post int64, fn func(sl []byte, r rid) error) error {
+func (s *Store) scanDesc(pre, post int64, fn func(sl []byte, r rid) error) error {
 	var cur uint32
 	fi := -1
 	var pb []byte
 	var err error
-	tb.pre.scanFrom(treeKey{a: pre + 1, b: minInt64}, func(_ treeKey, r rid) bool {
+	s.pre.scanFrom(treeKey{a: pre + 1, b: minInt64}, func(_ treeKey, r rid) bool {
 		if r.page != cur || fi < 0 {
 			if fi >= 0 {
-				tb.pool.unpin(fi, false)
+				s.pool.unpin(fi, false)
 			}
-			fi, pb = tb.pool.fetch(spaceHeap, r.page)
+			fi, pb = s.pool.fetch(spaceHeap, r.page)
 			cur = r.page
 		}
 		sl := pageSlot(pb, int(r.slot))
@@ -553,23 +469,26 @@ func (tb *pagedTable) scanDesc(pre, post int64, fn func(sl []byte, r rid) error)
 		return err == nil
 	})
 	if fi >= 0 {
-		tb.pool.unpin(fi, false)
+		s.pool.unpin(fi, false)
 	}
 	return err
 }
 
-func (s *v2store) Descendants(pre, post int64) ([]NodeRow, error) {
+// Descendants returns all proper descendants of the node (pre, post), in
+// document order, using the boundary optimization.
+func (s *Store) Descendants(pre, post int64) ([]NodeRow, error) {
 	return s.descendants(pre, post, true)
 }
 
-func (s *v2store) DescendantsMeta(pre, post int64) ([]NodeRow, error) {
+// DescendantsMeta is Descendants without the share blobs — what the
+// engines' frontier expansion consumes.
+func (s *Store) DescendantsMeta(pre, post int64) ([]NodeRow, error) {
 	return s.descendants(pre, post, false)
 }
 
-func (s *v2store) descendants(pre, post int64, withPoly bool) ([]NodeRow, error) {
-	tb := s.tbl
-	tb.mu.RLock()
-	defer tb.mu.RUnlock()
+func (s *Store) descendants(pre, post int64, withPoly bool) ([]NodeRow, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	// Two passes: the first walks slot headers only, collecting RIDs (a
 	// pointer-free 8-byte scratch — doubling it is a flat memmove) and
 	// the total poly byte count, so the second can fill exact-capacity
@@ -577,7 +496,7 @@ func (s *v2store) descendants(pre, post int64, withPoly bool) ([]NodeRow, error)
 	// the arena O(log n) times and dominate large warm scans.
 	var rids []rid
 	var polyBytes int
-	err := tb.scanDesc(pre, post, func(sl []byte, r rid) error {
+	err := s.scanDesc(pre, post, func(sl []byte, r rid) error {
 		if withPoly {
 			polyBytes += int(binary.LittleEndian.Uint32(sl[rowOffPolyLen:]))
 		}
@@ -587,18 +506,20 @@ func (s *v2store) descendants(pre, post int64, withPoly bool) ([]NodeRow, error)
 	if err != nil {
 		return nil, fmt.Errorf("store: descendants of %d: %w", pre, err)
 	}
-	out, err := tb.fetchRowsSized(rids, withPoly, polyBytes)
+	out, err := s.fetchRowsSized(rids, withPoly, polyBytes)
 	if err != nil {
 		return nil, fmt.Errorf("store: descendants of %d: %w", pre, err)
 	}
 	return out, nil
 }
 
-func (s *v2store) VisitDescendantsMeta(pre, post int64, fn func(pre, post, parent int64)) error {
-	tb := s.tbl
-	tb.mu.RLock()
-	defer tb.mu.RUnlock()
-	err := tb.scanDesc(pre, post, func(sl []byte, _ rid) error {
+// VisitDescendantsMeta streams the numbering of every proper descendant
+// of (pre, post) in document order without materializing rows — the
+// zero-allocation path behind the filter's subtree expansion.
+func (s *Store) VisitDescendantsMeta(pre, post int64, fn func(pre, post, parent int64)) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	err := s.scanDesc(pre, post, func(sl []byte, _ rid) error {
 		p, po, pa := decodeRowMeta(sl)
 		fn(p, po, pa)
 		return nil
@@ -609,10 +530,11 @@ func (s *v2store) VisitDescendantsMeta(pre, post int64, fn func(pre, post, paren
 	return nil
 }
 
-func (s *v2store) DescendantsNaive(pre, post int64) ([]NodeRow, error) {
-	tb := s.tbl
-	tb.mu.RLock()
-	defer tb.mu.RUnlock()
+// DescendantsNaive is the unoptimized variant (full pre-range scan with a
+// post filter); kept for the ablation benchmark.
+func (s *Store) DescendantsNaive(pre, post int64) ([]NodeRow, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	// The unoptimized shape: a full forward scan with a post filter and
 	// no boundary stop (kept for the ablation benchmark).
 	var rids []rid
@@ -620,12 +542,12 @@ func (s *v2store) DescendantsNaive(pre, post int64) ([]NodeRow, error) {
 	fi := -1
 	var pb []byte
 	var scanErr error
-	tb.pre.scanFrom(treeKey{a: pre + 1, b: minInt64}, func(_ treeKey, r rid) bool {
+	s.pre.scanFrom(treeKey{a: pre + 1, b: minInt64}, func(_ treeKey, r rid) bool {
 		if r.page != cur || fi < 0 {
 			if fi >= 0 {
-				tb.pool.unpin(fi, false)
+				s.pool.unpin(fi, false)
 			}
-			fi, pb = tb.pool.fetch(spaceHeap, r.page)
+			fi, pb = s.pool.fetch(spaceHeap, r.page)
 			cur = r.page
 		}
 		sl := pageSlot(pb, int(r.slot))
@@ -640,62 +562,66 @@ func (s *v2store) DescendantsNaive(pre, post int64) ([]NodeRow, error) {
 		return true
 	})
 	if fi >= 0 {
-		tb.pool.unpin(fi, false)
+		s.pool.unpin(fi, false)
 	}
 	if scanErr != nil {
 		return nil, fmt.Errorf("store: naive descendants of %d: %w", pre, scanErr)
 	}
-	rows, err := tb.fetchRows(rids, true)
+	rows, err := s.fetchRows(rids, true)
 	if err != nil {
 		return nil, fmt.Errorf("store: naive descendants of %d: %w", pre, err)
 	}
 	return rows, nil
 }
 
-func (s *v2store) Range(lo, hi int64) ([]NodeRow, error) {
-	tb := s.tbl
-	tb.mu.RLock()
-	defer tb.mu.RUnlock()
+// Range returns the rows with pre in [lo, hi], in document order — the
+// slice of the node table one cluster shard holds.
+func (s *Store) Range(lo, hi int64) ([]NodeRow, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	var rids []rid
-	tb.pre.scanFrom(treeKey{a: lo, b: minInt64}, func(k treeKey, r rid) bool {
+	s.pre.scanFrom(treeKey{a: lo, b: minInt64}, func(k treeKey, r rid) bool {
 		if k.a > hi {
 			return false
 		}
 		rids = append(rids, r)
 		return true
 	})
-	rows, err := tb.fetchRows(rids, true)
+	rows, err := s.fetchRows(rids, true)
 	if err != nil {
 		return nil, fmt.Errorf("store: range [%d, %d]: %w", lo, hi, err)
 	}
 	return rows, nil
 }
 
-func (s *v2store) MinMaxPre() (int64, int64, error) {
-	tb := s.tbl
-	tb.mu.RLock()
-	defer tb.mu.RUnlock()
-	lo, _, ok := tb.pre.min()
+// MinMaxPre returns the smallest and largest stored pre — the contiguous
+// interval this table covers (shards report it to cluster clients at
+// dial time). An empty table is ErrNotFound.
+func (s *Store) MinMaxPre() (int64, int64, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	lo, _, ok := s.pre.min()
 	if !ok {
 		return 0, 0, fmt.Errorf("store: min/max pre of empty table: %w", ErrNotFound)
 	}
-	hi, _, _ := tb.pre.max()
+	hi, _, _ := s.pre.max()
 	return lo.a, hi.a, nil
 }
 
-func (s *v2store) Count() (int64, error) {
-	tb := s.tbl
-	tb.mu.RLock()
-	defer tb.mu.RUnlock()
-	return tb.rowCount, nil
+// Count returns the number of stored nodes.
+func (s *Store) Count() (int64, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.rowCount, nil
 }
 
-func (s *v2store) ChildCount(pre int64) (int64, error) {
-	tb := s.tbl
-	tb.mu.RLock()
-	defer tb.mu.RUnlock()
+// ChildCount returns the number of children of the node at pre without
+// fetching the rows (used by the equality-test cost accounting).
+func (s *Store) ChildCount(pre int64) (int64, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	var n int64
-	tb.kids.scanFrom(treeKey{a: pre, b: minInt64}, func(k treeKey, _ rid) bool {
+	s.kids.scanFrom(treeKey{a: pre, b: minInt64}, func(k treeKey, _ rid) bool {
 		if k.a != pre {
 			return false
 		}

@@ -4,20 +4,8 @@ import (
 	"bytes"
 	"testing"
 
-	"encshare/internal/minisql"
 	"encshare/internal/xmldoc"
 )
-
-// engines lists the storage engines every API test runs against: v2 (the
-// paged default) and v1 (the minisql oracle).
-var engines = []Engine{EngineV2, EngineV1}
-
-// forEachEngine runs fn as a subtest per storage engine.
-func forEachEngine(t *testing.T, fn func(t *testing.T, eng Engine)) {
-	for _, eng := range engines {
-		t.Run(string(eng), func(t *testing.T) { fn(t, eng) })
-	}
-}
 
 // fill inserts rows matching a parsed document with dummy polynomials.
 func fill(t testing.TB, s *Store, d *xmldoc.Doc) {
@@ -35,30 +23,22 @@ func fill(t testing.TB, s *Store, d *xmldoc.Doc) {
 	})
 }
 
-func newStoreEngine(t testing.TB, eng Engine) *Store {
-	t.Helper()
-	dsn := minisql.FreshDSN()
-	s, err := OpenWith(dsn, Options{Engine: eng})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Init(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		s.Close()
-		minisql.Drop(dsn)
-	})
+// format is the page format the store reads and writes (v2Magic);
+// table-level tests run as a subtest named after it.
+const format = "v2"
+
+// newStore returns an empty store closed at the end of the test.
+func newStore(t testing.TB) *Store {
+	s := New(Options{})
+	t.Cleanup(func() { s.Close() })
 	return s
 }
-
-func newStore(t testing.TB) *Store { return newStoreEngine(t, EngineV2) }
 
 const testDoc = `<site><regions><europe><item><name/></item><item/></europe><asia/></regions><people><person><name/></person></people></site>`
 
 func TestRootAndNode(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, eng Engine) {
-		s := newStoreEngine(t, eng)
+	t.Run(format, func(t *testing.T) {
+		s := newStore(t)
 		d, err := xmldoc.ParseString(testDoc)
 		if err != nil {
 			t.Fatal(err)
@@ -86,8 +66,8 @@ func TestRootAndNode(t *testing.T) {
 }
 
 func TestRootMissing(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, eng Engine) {
-		s := newStoreEngine(t, eng)
+	t.Run(format, func(t *testing.T) {
+		s := newStore(t)
 		if _, err := s.Root(); err == nil {
 			t.Fatal("root on empty store succeeded")
 		}
@@ -95,8 +75,8 @@ func TestRootMissing(t *testing.T) {
 }
 
 func TestChildrenMatchTree(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, eng Engine) {
-		s := newStoreEngine(t, eng)
+	t.Run(format, func(t *testing.T) {
+		s := newStore(t)
 		d, _ := xmldoc.ParseString(testDoc)
 		fill(t, s, d)
 		d.Walk(func(n *xmldoc.Node) bool {
@@ -127,8 +107,8 @@ func TestChildrenMatchTree(t *testing.T) {
 }
 
 func TestDescendantsMatchTree(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, eng Engine) {
-		s := newStoreEngine(t, eng)
+	t.Run(format, func(t *testing.T) {
+		s := newStore(t)
 		d, _ := xmldoc.ParseString(testDoc)
 		fill(t, s, d)
 		d.Walk(func(n *xmldoc.Node) bool {
@@ -190,8 +170,8 @@ func TestDescendantsMatchTree(t *testing.T) {
 }
 
 func TestCount(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, eng Engine) {
-		s := newStoreEngine(t, eng)
+	t.Run(format, func(t *testing.T) {
+		s := newStore(t)
 		d, _ := xmldoc.ParseString(testDoc)
 		fill(t, s, d)
 		n, err := s.Count()
@@ -205,8 +185,8 @@ func TestCount(t *testing.T) {
 }
 
 func TestDuplicatePreRejected(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, eng Engine) {
-		s := newStoreEngine(t, eng)
+	t.Run(format, func(t *testing.T) {
+		s := newStore(t)
 		if err := s.InsertNode(NodeRow{Pre: 1, Post: 1, Parent: 0, Poly: []byte{1}}); err != nil {
 			t.Fatal(err)
 		}
@@ -217,69 +197,65 @@ func TestDuplicatePreRejected(t *testing.T) {
 }
 
 func TestDumpLoadRoundTrip(t *testing.T) {
-	// Every (dump engine, load engine) pair must round-trip: native loads
-	// adopt the dump verbatim, cross-format loads convert row-by-row.
-	for _, from := range engines {
-		for _, to := range engines {
-			t.Run(string(from)+"_to_"+string(to), func(t *testing.T) {
-				s := newStoreEngine(t, from)
-				d, _ := xmldoc.ParseString(testDoc)
-				fill(t, s, d)
-				var buf bytes.Buffer
-				if err := s.Dump(&buf); err != nil {
-					t.Fatal(err)
-				}
-
-				dsn2 := minisql.FreshDSN()
-				s2, err := OpenWith(dsn2, Options{Engine: to})
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() {
-					s2.Close()
-					minisql.Drop(dsn2)
-				})
-				if err := s2.Load(&buf); err != nil {
-					t.Fatal(err)
-				}
-				n, err := s2.Count()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if n != d.Count {
-					t.Fatalf("Count after load = %d, want %d", n, d.Count)
-				}
-				kids, err := s2.Children(1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(kids) != len(d.Root.Children) {
-					t.Fatalf("children after load = %d", len(kids))
-				}
-				// Row-level identity with the source.
-				for pre := int64(1); pre <= d.Count; pre++ {
-					a, err := s.Node(pre)
-					if err != nil {
-						t.Fatal(err)
-					}
-					b, err := s2.Node(pre)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if a.Pre != b.Pre || a.Post != b.Post || a.Parent != b.Parent || !bytes.Equal(a.Poly, b.Poly) {
-						t.Fatalf("node %d: %+v != %+v", pre, a, b)
-					}
-				}
-			})
+	t.Run(format+"_to_"+format, func(t *testing.T) {
+		s := newStore(t)
+		d, _ := xmldoc.ParseString(testDoc)
+		fill(t, s, d)
+		var buf bytes.Buffer
+		if err := s.Dump(&buf); err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-func TestInitTwiceFails(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, eng Engine) {
-		s := newStoreEngine(t, eng)
-		if err := s.Init(); err == nil {
-			t.Fatal("double Init succeeded")
+		s2 := newStore(t)
+		if err := s2.Load(&buf); err != nil {
+			t.Fatal(err)
+		}
+		n, err := s2.Count()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != d.Count {
+			t.Fatalf("Count after load = %d, want %d", n, d.Count)
+		}
+		kids, err := s2.Children(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(kids) != len(d.Root.Children) {
+			t.Fatalf("children after load = %d", len(kids))
+		}
+		// Row-level identity with the source.
+		for pre := int64(1); pre <= d.Count; pre++ {
+			a, err := s.Node(pre)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := s2.Node(pre)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Pre != b.Pre || a.Post != b.Post || a.Parent != b.Parent || !bytes.Equal(a.Poly, b.Poly) {
+				t.Fatalf("node %d: %+v != %+v", pre, a, b)
+			}
 		}
 	})
+}
+
+// TestCloseFreesTable: Close empties the table the handle owns, and
+// stores never share rows.
+func TestCloseFreesTable(t *testing.T) {
+	a, b := newStore(t), newStore(t)
+	d, _ := xmldoc.ParseString(testDoc)
+	fill(t, a, d)
+	if n, _ := b.Count(); n != 0 {
+		t.Fatalf("fresh store sees %d rows of another", n)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := a.Count(); n != 0 {
+		t.Fatalf("closed store still counts %d rows", n)
+	}
+	if _, err := a.Root(); err == nil {
+		t.Fatal("closed store still has a root")
+	}
 }

@@ -2,11 +2,10 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"encshare/internal/minisql"
 )
 
 // ---- row codec ----
@@ -274,54 +273,6 @@ func TestBufferPoolGrowsWhenAllPinned(t *testing.T) {
 
 // ---- engine-level v2 behavior ----
 
-// randomOps drives the same pseudo-random op sequence into any store.
-func randomOps(t *testing.T, s *Store, seed int64, n int) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	present := map[int64]bool{}
-	var order []int64
-	poly := func(pre int64) []byte {
-		b := make([]byte, 40+rng.Intn(100))
-		for i := range b {
-			b[i] = byte(pre + int64(i))
-		}
-		return b
-	}
-	for i := 0; i < n; i++ {
-		switch op := rng.Intn(10); {
-		case op < 6 || len(order) == 0: // insert
-			pre := int64(len(present)*2 + 1 + rng.Intn(2))
-			for present[pre] {
-				pre++
-			}
-			row := NodeRow{Pre: pre, Post: pre + int64(rng.Intn(5)), Parent: pre / 2, Poly: poly(pre)}
-			if err := s.InsertNode(row); err != nil {
-				t.Fatal(err)
-			}
-			present[pre] = true
-			order = append(order, pre)
-		case op < 8: // update in place
-			pre := order[rng.Intn(len(order))]
-			if !present[pre] {
-				continue
-			}
-			row := NodeRow{Pre: pre, Post: pre + int64(rng.Intn(7)), Parent: pre / 2, Poly: poly(pre + 1)}
-			if err := s.UpdateNode(pre, row); err != nil {
-				t.Fatal(err)
-			}
-		default: // delete
-			pre := order[rng.Intn(len(order))]
-			if !present[pre] {
-				continue
-			}
-			if err := s.DeleteNode(pre); err != nil {
-				t.Fatal(err)
-			}
-			delete(present, pre)
-		}
-	}
-}
-
 // TestV2DumpReplicaDeterminism: two v2 tables that apply the identical op
 // sequence dump byte-identical images, and dump→load→dump is the byte
 // identity. This is the property the replicated mutation pipeline pins
@@ -329,7 +280,7 @@ func randomOps(t *testing.T, s *Store, seed int64, n int) {
 func TestV2DumpReplicaDeterminism(t *testing.T) {
 	var dumps [][]byte
 	for r := 0; r < 2; r++ {
-		s := newStoreEngine(t, EngineV2)
+		s := newStore(t)
 		randomOps(t, s, 7, 3000)
 		var buf bytes.Buffer
 		if err := s.Dump(&buf); err != nil {
@@ -342,15 +293,7 @@ func TestV2DumpReplicaDeterminism(t *testing.T) {
 	}
 
 	// dump → load → dump identity.
-	dsn := minisql.FreshDSN()
-	s2, err := OpenWith(dsn, Options{Engine: EngineV2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		s2.Close()
-		minisql.Drop(dsn)
-	})
+	s2 := newStore(t)
 	if err := s2.Load(bytes.NewReader(dumps[0])); err != nil {
 		t.Fatal(err)
 	}
@@ -363,98 +306,111 @@ func TestV2DumpReplicaDeterminism(t *testing.T) {
 	}
 }
 
-// TestV2MatchesV1UnderRandomOps: the paged engine and the minisql oracle,
-// driven by one op sequence, must agree on every read API.
-func TestV2MatchesV1UnderRandomOps(t *testing.T) {
-	v1 := newStoreEngine(t, EngineV1)
-	v2 := newStoreEngine(t, EngineV2)
-	randomOps(t, v1, 11, 4000)
-	randomOps(t, v2, 11, 4000)
+// TestV2MatchesModelUnderRandomOps: the paged engine and the reference
+// model, driven by one op sequence, must agree on every read API.
+func TestV2MatchesModelUnderRandomOps(t *testing.T) {
+	m := &model{}
+	s := newStore(t)
+	randomOps(t, m, 11, 4000)
+	randomOps(t, s, 11, 4000)
 
-	n1, err := v1.Count()
+	n, err := s.Count()
 	if err != nil {
 		t.Fatal(err)
 	}
-	n2, err := v2.Count()
+	if n != int64(len(m.rows)) {
+		t.Fatalf("count %d, model has %d", n, len(m.rows))
+	}
+	lo, hi, err := s.MinMaxPre()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n1 != n2 {
-		t.Fatalf("count %d != %d", n2, n1)
+	if lo != m.rows[0].Pre || hi != m.rows[len(m.rows)-1].Pre {
+		t.Fatalf("minmax (%d, %d), model has (%d, %d)", lo, hi, m.rows[0].Pre, m.rows[len(m.rows)-1].Pre)
 	}
-	lo, hi, err := v1.MinMaxPre()
+	all, err := s.Range(lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lo2, hi2, err := v2.MinMaxPre(); err != nil || lo2 != lo || hi2 != hi {
-		t.Fatalf("minmax (%d, %d, %v) != (%d, %d)", lo2, hi2, err, lo, hi)
+	sameRows(t, "range", all, m.rows, false)
+	mid := m.rows[len(m.rows)/3].Pre
+	part, err := s.Range(mid, mid+500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRows(t, "partial range", part, m.Range(mid, mid+500), false)
+
+	roots := m.Children(0)
+	root, err := s.Root()
+	if len(roots) == 1 {
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, "root", []NodeRow{root}, roots, false)
+	} else if err == nil {
+		t.Fatalf("root found, model has %d rows with parent 0", len(roots))
 	}
 
-	rows1, err := v1.Range(lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows2, err := v2.Range(lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows1) != len(rows2) {
-		t.Fatalf("range %d != %d rows", len(rows2), len(rows1))
-	}
-	for i := range rows1 {
-		a, b := rows1[i], rows2[i]
-		if a.Pre != b.Pre || a.Post != b.Post || a.Parent != b.Parent || !bytes.Equal(a.Poly, b.Poly) {
-			t.Fatalf("range[%d]: %+v != %+v", i, b, a)
-		}
-	}
-
-	// Spot checks across the read surface.
-	for _, r := range rows1 {
-		a, err := v1.Node(r.Pre)
+	// Every stored row, plus a miss just past each one.
+	for _, r := range m.rows {
+		what := func(api string) string { return fmt.Sprintf("%s(%d)", api, r.Pre) }
+		node, err := s.Node(r.Pre)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := v2.Node(r.Pre)
+		sameRows(t, what("node"), []NodeRow{node}, []NodeRow{r}, false)
+		meta, err := s.NodeMeta(r.Pre)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(a.Poly, b.Poly) {
-			t.Fatalf("node %d polys differ", r.Pre)
-		}
-		c1, err := v1.ChildCount(r.Pre)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c2, err := v2.ChildCount(r.Pre)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c1 != c2 {
-			t.Fatalf("childcount(%d) %d != %d", r.Pre, c2, c1)
-		}
-		d1, err := v1.Descendants(r.Pre, r.Post)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d2, err := v2.Descendants(r.Pre, r.Post)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(d1) != len(d2) {
-			t.Fatalf("descendants(%d) %d != %d", r.Pre, len(d2), len(d1))
-		}
-		for i := range d1 {
-			if d1[i].Pre != d2[i].Pre || !bytes.Equal(d1[i].Poly, d2[i].Poly) {
-				t.Fatalf("descendants(%d)[%d] differ", r.Pre, i)
+		sameRows(t, what("nodemeta"), []NodeRow{meta}, []NodeRow{r}, true)
+		if _, ok := m.find(r.Pre + 1); !ok {
+			if _, err := s.Node(r.Pre + 1); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("node(%d) of an absent row: %v", r.Pre+1, err)
 			}
 		}
+
+		kids := m.Children(r.Pre)
+		got, err := s.Children(r.Pre)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, what("children"), got, kids, false)
+		if got, err = s.ChildrenMeta(r.Pre); err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, what("childrenmeta"), got, kids, true)
+		if c, err := s.ChildCount(r.Pre); err != nil || c != int64(len(kids)) {
+			t.Fatalf("%s = %d, %v; model has %d", what("childcount"), c, err, len(kids))
+		}
+
+		desc := m.Descendants(r.Pre, r.Post)
+		if got, err = s.Descendants(r.Pre, r.Post); err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, what("descendants"), got, desc, false)
+		if got, err = s.DescendantsMeta(r.Pre, r.Post); err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, what("descendantsmeta"), got, desc, true)
+		if got, err = s.DescendantsNaive(r.Pre, r.Post); err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, what("descendantsnaive"), got, desc, false)
+		got = got[:0]
+		if err := s.VisitDescendantsMeta(r.Pre, r.Post, func(pre, post, parent int64) {
+			got = append(got, NodeRow{Pre: pre, Post: post, Parent: parent})
+		}); err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, what("visitdescendantsmeta"), got, desc, true)
 	}
 }
 
 // TestV2HeapSplits: enough large rows to overflow many heap pages; every
 // row must remain reachable through the tree afterwards.
 func TestV2HeapSplits(t *testing.T) {
-	s := newStoreEngine(t, EngineV2)
+	s := newStore(t)
 	const n = 2000
 	poly := bytes.Repeat([]byte{7}, 200) // ~35 rows per 8 KiB page
 	// Post-order-ish arrival (the encoder emits on EndElement): insert
@@ -486,26 +442,16 @@ func TestV2HeapSplits(t *testing.T) {
 			t.Fatalf("row %d poly corrupted", i)
 		}
 	}
-	if st, ok := s.PoolStats(); !ok || st.Resident < 2 {
-		t.Fatalf("pool stats = %+v, %v", st, ok)
+	if st := s.PoolStats(); st.Resident < 2 {
+		t.Fatalf("pool stats = %+v", st)
 	}
 }
 
 // TestV2SmallPoolScans: a pool far smaller than the table still answers
 // every query correctly (pages stream through the clock).
 func TestV2SmallPoolScans(t *testing.T) {
-	dsn := minisql.FreshDSN()
-	s, err := OpenWith(dsn, Options{Engine: EngineV2, PoolPages: minPoolPages})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		s.Close()
-		minisql.Drop(dsn)
-	})
-	if err := s.Init(); err != nil {
-		t.Fatal(err)
-	}
+	s := New(Options{PoolPages: minPoolPages})
+	defer s.Close()
 	const n = 4000
 	poly := bytes.Repeat([]byte{9}, 150)
 	for pre := int64(1); pre <= n; pre++ {
@@ -520,10 +466,7 @@ func TestV2SmallPoolScans(t *testing.T) {
 	if len(rows) != n {
 		t.Fatalf("range = %d rows", len(rows))
 	}
-	st, ok := s.PoolStats()
-	if !ok {
-		t.Fatal("no pool stats from v2")
-	}
+	st := s.PoolStats()
 	if st.Evictions == 0 {
 		t.Fatalf("no evictions with %d-page pool over %d rows: %+v", minPoolPages, n, st)
 	}
@@ -532,34 +475,11 @@ func TestV2SmallPoolScans(t *testing.T) {
 	}
 }
 
-// TestV2CrossFormatLoadErrors: junk streams are rejected by both engines.
-func TestV2CrossFormatLoadErrors(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, eng Engine) {
-		s := newStoreEngine(t, eng)
-		junk := []byte("this is neither a gob nor a page file")
-		if err := s.Load(bytes.NewReader(junk)); err == nil {
-			t.Fatal("junk stream loaded")
-		}
-	})
-}
-
-func TestParseEngine(t *testing.T) {
-	for in, want := range map[string]Engine{"": EngineV2, "v2": EngineV2, "v1": EngineV1} {
-		got, err := ParseEngine(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseEngine(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseEngine("v3"); err == nil {
-		t.Fatal("unknown engine accepted")
-	}
-}
-
 // TestV2UpdateKeepsDumpAligned: in-place updates must not move slots —
 // two replicas, one loaded from the other's dump, stay byte-identical
 // through subsequent identical updates.
 func TestV2UpdateKeepsDumpAligned(t *testing.T) {
-	a := newStoreEngine(t, EngineV2)
+	a := newStore(t)
 	for pre := int64(1); pre <= 300; pre++ {
 		if err := a.InsertNode(NodeRow{Pre: pre, Post: pre, Parent: pre / 2, Poly: bytes.Repeat([]byte{1}, 64)}); err != nil {
 			t.Fatal(err)
@@ -569,15 +489,7 @@ func TestV2UpdateKeepsDumpAligned(t *testing.T) {
 	if err := a.Dump(&img); err != nil {
 		t.Fatal(err)
 	}
-	dsn := minisql.FreshDSN()
-	b, err := OpenWith(dsn, Options{Engine: EngineV2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		b.Close()
-		minisql.Drop(dsn)
-	})
+	b := newStore(t)
 	if err := b.Load(bytes.NewReader(img.Bytes())); err != nil {
 		t.Fatal(err)
 	}
@@ -603,26 +515,22 @@ func TestV2UpdateKeepsDumpAligned(t *testing.T) {
 }
 
 func BenchmarkV2PointLookup(b *testing.B) {
-	for _, eng := range engines {
-		b.Run(string(eng), func(b *testing.B) {
-			s := newStoreEngine(b, eng)
-			for pre := int64(1); pre <= 1000; pre++ {
-				if err := s.InsertNode(NodeRow{Pre: pre, Post: pre, Parent: pre / 2, Poly: bytes.Repeat([]byte{1}, 64)}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Node(int64(i%1000 + 1)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	s := newStore(b)
+	for pre := int64(1); pre <= 1000; pre++ {
+		if err := s.InsertNode(NodeRow{Pre: pre, Post: pre, Parent: pre / 2, Poly: bytes.Repeat([]byte{1}, 64)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Node(int64(i%1000 + 1)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkV2MetaScan(b *testing.B) {
-	s := newStoreEngine(b, EngineV2)
+	s := newStore(b)
 	const n = 5000
 	for pre := int64(1); pre <= n; pre++ {
 		post := pre

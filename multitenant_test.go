@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"encshare/internal/minisql"
 	"encshare/internal/server"
 	"encshare/internal/xmldoc"
 )
@@ -28,7 +27,7 @@ func buildTenant(t *testing.T, seed int64, nodes int) (*Keys, *Database) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := CreateDatabase(minisql.FreshDSN())
+	db, err := CreateDatabase(t.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +176,7 @@ func TestEndToEndLiveReplicaJoin(t *testing.T) {
 	var addrs []string
 	var listeners []*killableListener
 	serveShard := func(si int) *killableListener {
-		shardDB, err := CreateDatabase(minisql.FreshDSN())
+		shardDB, err := CreateDatabase(t.Name())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,7 +11,6 @@ import (
 
 	"encshare/internal/cluster"
 	"encshare/internal/filter"
-	"encshare/internal/minisql"
 	"encshare/internal/rmi"
 )
 
@@ -22,7 +21,7 @@ import (
 // share table, polynomials included.
 func encodeFresh(t *testing.T, keys *Keys, xml string) *Database {
 	t.Helper()
-	db, err := CreateDatabase(minisql.FreshDSN())
+	db, err := CreateDatabase(t.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +373,7 @@ func TestMutateCluster(t *testing.T) {
 		if err := db.DumpShard(&dump, r); err != nil {
 			t.Fatal(err)
 		}
-		shardDB, err := CreateDatabase(minisql.FreshDSN())
+		shardDB, err := CreateDatabase(t.Name())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -488,7 +487,7 @@ func TestPartialCommitParksAndRepairs(t *testing.T) {
 		if err := db.DumpShard(&dump, r); err != nil {
 			t.Fatal(err)
 		}
-		sdb, err := CreateDatabase(minisql.FreshDSN())
+		sdb, err := CreateDatabase(t.Name())
 		if err != nil {
 			t.Fatal(err)
 		}

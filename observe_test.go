@@ -15,7 +15,6 @@ import (
 	"sync"
 	"testing"
 
-	"encshare/internal/minisql"
 	"encshare/internal/obs"
 	"encshare/internal/server"
 	"encshare/internal/xmldoc"
@@ -32,7 +31,7 @@ func tracedCluster(t *testing.T, shards, replicas int) (*Session, *Session) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := CreateDatabase(minisql.FreshDSN())
+	db, err := CreateDatabase(t.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +50,7 @@ func tracedCluster(t *testing.T, shards, replicas int) (*Session, *Session) {
 			t.Fatal(err)
 		}
 		for j := 0; j < replicas; j++ {
-			shardDB, err := CreateDatabase(minisql.FreshDSN())
+			shardDB, err := CreateDatabase(t.Name())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -175,7 +174,7 @@ func TestMetricsExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := CreateDatabase(minisql.FreshDSN())
+	db, err := CreateDatabase(t.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +194,7 @@ func TestMetricsExposition(t *testing.T) {
 		if err := db.DumpShard(&dump, r); err != nil {
 			t.Fatal(err)
 		}
-		shardDB, err := CreateDatabase(minisql.FreshDSN())
+		shardDB, err := CreateDatabase(t.Name())
 		if err != nil {
 			t.Fatal(err)
 		}
