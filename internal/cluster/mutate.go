@@ -76,12 +76,11 @@ type mutState struct {
 // shard's cached sequence is dropped and epochs re-learned before the
 // grant is returned.
 //
-// Returns filter.ErrLeaseUnsupported when no replica speaks the lease
-// frames — callers fall back to optimistic sequencing.
+// Returns filter.ErrReadOnly when shard 0 is served read-only.
 func (f *Filter) AcquireWriterLease(owner string, ttlMillis int64) (filter.LeaseGrant, error) {
 	la := f.leaseEndpoint()
 	if la == nil {
-		return filter.LeaseGrant{}, filter.ErrLeaseUnsupported
+		return filter.LeaseGrant{}, filter.ErrReadOnly
 	}
 	grant, err := la.AcquireLease(filter.LeaseRequest{Owner: owner, TTLMillis: ttlMillis})
 	if err != nil {
@@ -232,7 +231,7 @@ func (f *Filter) putOwner(pre int64) int {
 // (every answering replica failed at the transport) parks the batch
 // for SyncReplicas to flush — the digest-verified idempotent ack makes
 // redelivering it safe whether or not it actually landed; a definitive
-// rejection on every replica (gap, mismatch, unsupported) consumes
+// rejection on every replica (gap, mismatch, read-only) consumes
 // nothing and parks nothing.
 func (f *Filter) mutateShard(si int, ops []filter.RowOp) error {
 	sh := f.shards[si]
@@ -257,7 +256,7 @@ func (f *Filter) mutateShard(si int, ops []filter.RowOp) error {
 		ma, ok := rep.conn.(filter.MutableAPI)
 		if !ok {
 			if firstErr == nil {
-				firstErr = filter.ErrMutationUnsupported
+				firstErr = filter.ErrReadOnly
 			}
 			continue
 		}
@@ -266,7 +265,7 @@ func (f *Filter) mutateShard(si int, ops []filter.RowOp) error {
 		case err == nil:
 			acks++
 			ack = reply
-		case errors.Is(err, filter.ErrMutationUnsupported):
+		case errors.Is(err, filter.ErrReadOnly):
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -356,13 +355,13 @@ func (f *Filter) shardEpoch(si int) (filter.EpochInfo, error) {
 		ma, ok := rep.conn.(filter.MutableAPI)
 		if !ok {
 			if lastErr == nil {
-				lastErr = filter.ErrMutationUnsupported
+				lastErr = filter.ErrReadOnly
 			}
 			continue
 		}
 		info, err := ma.Epoch()
 		if err != nil {
-			if lastErr == nil || errors.Is(lastErr, filter.ErrMutationUnsupported) {
+			if lastErr == nil || errors.Is(lastErr, filter.ErrReadOnly) {
 				lastErr = err
 			}
 			continue
@@ -380,12 +379,12 @@ func (f *Filter) shardEpoch(si int) (filter.EpochInfo, error) {
 // RefreshEpochs re-pins every shard's connections to the shard's
 // current epoch and refreshes the routing ranges — what a session calls
 // after a StaleEpochError before rerunning its query. Shards served
-// only by pre-mutation servers are skipped (nothing to pin).
+// served read-only are skipped (nothing to pin).
 func (f *Filter) RefreshEpochs() error {
 	for si, sh := range f.shards {
 		info, err := f.shardEpoch(si)
 		if err != nil {
-			if errors.Is(err, filter.ErrMutationUnsupported) {
+			if errors.Is(err, filter.ErrReadOnly) {
 				continue
 			}
 			return f.shardErr(si, err)

@@ -1,6 +1,8 @@
 package cluster_test
 
 import (
+	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -110,21 +112,40 @@ func TestAddReplicaLiveSession(t *testing.T) {
 	}
 }
 
-// TestDialTenantAgainstPreTenantServer: naming a tenant at dial time
-// against servers that predate the tenant protocol fails loudly (even
-// with TolerateUnreachable — the server is up, the config is wrong),
-// instead of silently querying the default table.
-func TestDialTenantAgainstPreTenantServer(t *testing.T) {
+// otherVersionServer serves the fixture over TCP but answers every frame
+// the way a server built with the next frame version does: with the
+// version refusal. It returns the address.
+func otherVersionServer(t *testing.T, fx *fixture) string {
+	t.Helper()
+	srv := rmi.NewServer()
+	filter.RegisterServer(srv, filter.NewServerFilter(fx.st, fx.r, 256))
+	srv.SetGate(func(string, string, uint64) (func(), error) {
+		return nil, fmt.Errorf("frame version refused, server speaks version %d", rmi.FrameVersion+1)
+	})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close(); srv.Shutdown() })
+	go srv.Serve(l)
+	return l.Addr().String()
+}
+
+// TestDialRefusesIncompatibleServer: a server that is up but cannot
+// serve this session fails the dial loudly, even with
+// TolerateUnreachable — the server is up, the deployment is wrong.
+// Naming a tenant against single-table servers (which would answer any
+// tenant from their one table) fails with a TenantError; a server
+// speaking another frame version fails with a *rmi.VersionError inside
+// a ShardError naming its address, and the error is not retryable.
+func TestDialRefusesIncompatibleServer(t *testing.T) {
 	fx := xmarkFixture(t, 0.02, 11)
 	addrs, _ := shardedTCP(t, fx, []*store.Store{fx.st})
 	for _, tolerate := range []bool{false, true} {
 		_, err := cluster.DialWith(addrs, cluster.Options{Tenant: "alpha", TolerateUnreachable: tolerate})
-		// A true pre-PR binary answers unknown-method ("predates the
-		// multi-tenant protocol"); a current binary with the legacy
-		// single-tenant layout answers unknown-tenant. Either way the
-		// dial must fail loudly.
-		if err == nil || !strings.Contains(err.Error(), "tenant") {
-			t.Fatalf("tolerate=%v: got %v", tolerate, err)
+		var te *server.TenantError
+		if !errors.As(err, &te) {
+			t.Fatalf("tolerate=%v: got %v, want a TenantError", tolerate, err)
 		}
 	}
 	// Without a tenant the same servers dial fine.
@@ -133,6 +154,22 @@ func TestDialTenantAgainstPreTenantServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
+
+	bad := otherVersionServer(t, fx)
+	for _, opts := range []cluster.Options{{}, {TolerateUnreachable: true}} {
+		_, err := cluster.DialWith([]string{addrs[0], bad}, opts)
+		var se *cluster.ShardError
+		var ve *rmi.VersionError
+		if !errors.As(err, &se) || se.Addr != bad || !errors.As(err, &ve) {
+			t.Fatalf("%+v: got %v, want a ShardError naming %s around a VersionError", opts, err, bad)
+		}
+		if ve.Client != rmi.FrameVersion || ve.Server != rmi.FrameVersion+1 {
+			t.Fatalf("%+v: VersionError %+v", opts, ve)
+		}
+		if filter.Retryable(err) {
+			t.Fatalf("%+v: version refusal classified retryable", opts)
+		}
+	}
 }
 
 // TestDialTenantRuntime dials a multi-tenant runtime by tenant name

@@ -9,17 +9,12 @@ import (
 	"encshare/internal/xpath"
 )
 
-// legacyServerOnly hides the aggregate extension of a remote proxy, so
-// the client filter takes the pre-aggregate path: fetch every matching
-// row's share blob and reconstruct client-side. It is the measured
-// baseline — exactly what querying an old server costs.
-type legacyServerOnly struct{ filter.ServerAPI }
-
 // AggregateBytes measures what server-side aggregation does to the wire:
 // for each query, the matching rows are folded once through the
 // aggregate frames (one request frame, one folded blob per ≤(q−1)-row
-// chunk, plus the verification share) and once through the pre-aggregate
-// protocol (every row's share blob shipped and reconstructed). Both
+// chunk, plus the verification share) and once by per-row
+// reconstruction (filter.Client.FoldFromRows: every row's share blob
+// shipped and reconstructed — the measured baseline). Both
 // paths run over real rmi connections and both totals count request AND
 // reply bytes. The reduction column is the paper-style headline: bytes
 // drop from O(rows) to O(chunks) while the client still verifies the
@@ -33,9 +28,9 @@ func AggregateBytes(env *Env) (*Table, error) {
 	defer foldConn.Close()
 	foldCli := filter.NewClient(filter.NewRemote(foldConn), env.Scheme)
 
-	legacyConn := rmi.Pipe(srv)
-	defer legacyConn.Close()
-	legacyCli := filter.NewClient(legacyServerOnly{filter.NewRemote(legacyConn)}, env.Scheme)
+	reconConn := rmi.Pipe(srv)
+	defer reconConn.Close()
+	reconCli := filter.NewClient(filter.NewRemote(reconConn), env.Scheme)
 
 	table := &Table{
 		Title:  "Aggregation: bytes on the wire, server-side fold vs per-row reconstruction (SUM)",
@@ -65,12 +60,12 @@ func AggregateBytes(env *Env) (*Table, error) {
 		fs := foldConn.Stats()
 		foldBytes := (fs.BytesIn - before.BytesIn) + (fs.BytesOut - before.BytesOut)
 
-		before = legacyConn.Stats()
-		recon, err := legacyCli.AggregateFold(res.Pres, filter.AggSum, opts)
+		before = reconConn.Stats()
+		recon, err := reconCli.FoldFromRows(res.Pres, filter.AggSum)
 		if err != nil {
 			return nil, err
 		}
-		ls := legacyConn.Stats()
+		ls := reconConn.Stats()
 		reconBytes := (ls.BytesIn - before.BytesIn) + (ls.BytesOut - before.BytesOut)
 
 		if !env.Ring.Equal(folded.Sum, recon.Sum) {
@@ -91,7 +86,7 @@ func AggregateBytes(env *Env) (*Table, error) {
 	}
 	table.Notes = append(table.Notes,
 		"fold: one delta-varint row list out, one folded share blob per ≤(q−1)-row chunk back, plus the masked verification fold",
-		"reconstruct: the pre-aggregate protocol — every matching row's share blob shipped to the client",
+		"reconstruct: per-row reconstruction — every matching row's share blob shipped to the client",
 		fmt.Sprintf("p = %d: one share blob is %d bytes", env.Ring.Field().Q(), env.Ring.PolyBytes()),
 	)
 	return table, nil

@@ -78,10 +78,9 @@ func (k AggKind) String() string {
 	return fmt.Sprintf("AggKind(%d)", int(k))
 }
 
-// AggregateFrameVersion versions the aggregate request/reply frames; a
-// server rejects versions it does not speak with a deterministic error,
-// and a server that predates the frames entirely answers "unknown
-// method", which the client turns into the reconstruct fallback.
+// AggregateFrameVersion is the version field of the aggregate request and
+// reply frames; a server rejects any other value with a deterministic
+// error.
 const AggregateFrameVersion = 1
 
 // Wire aggregate kinds. AVG has no wire form: it asks for SUM frames
@@ -136,20 +135,6 @@ type AggregateReply struct {
 	Ver    uint8
 	Chunks []AggregateChunk
 }
-
-// AggregateAPI is the optional aggregation extension of ServerAPI. The
-// in-process ServerFilter implements it directly; Remote speaks it over
-// the wire (reporting ErrAggregateUnsupported against old servers); the
-// cluster filter scatters one frame per shard and concatenates.
-type AggregateAPI interface {
-	AggregateBatch(req AggregateRequest) (AggregateReply, error)
-}
-
-// ErrAggregateUnsupported reports a backend that predates the aggregate
-// frames. The client filter reacts by reconstructing every matching row
-// itself — the pre-aggregate protocol — so sessions against old servers
-// keep answering, just at O(rows) cost.
-var ErrAggregateUnsupported = errors.New("filter: server does not support aggregate frames")
 
 // IntegrityError reports an aggregate reply that failed verification:
 // chunks that do not tile the requested rows, a field count that
@@ -259,7 +244,7 @@ func normChunkRows(req int, q uint32) int {
 
 // --- server side -------------------------------------------------------
 
-// AggregateBatch implements AggregateAPI on the in-process server
+// AggregateBatch implements ServerAPI on the in-process server
 // filter: validate the frame, fold the named rows' server shares in
 // wraparound-safe chunks (in parallel on the batch pool), and return one
 // blob — plus the masked fold when a verification mask came along — per
@@ -385,9 +370,6 @@ type Aggregate struct {
 	Sum ring.Poly
 	// Avg is Sum · (Count mod q)⁻¹ (AggAvg only).
 	Avg ring.Poly
-	// Folded reports that server-side fold frames were used; false means
-	// the backend predates them and the client reconstructed every row.
-	Folded bool
 	// Verified reports that the verification share traveled and every
 	// chunk passed the mask and known-root checks.
 	Verified bool
@@ -403,29 +385,57 @@ var aggRand io.Reader = cryptorand.Reader
 
 // AggregateFold computes the requested aggregate over the given rows —
 // the aggregation phase run after a query has produced its matching pre
-// set. Backends speaking AggregateAPI serve it in O(chunks) bytes; any
-// other backend (or a pre-aggregate server answering "unknown method")
-// degrades to per-row reconstruction, the exact client-side oracle the
-// fold is verified against in the tests.
+// set — through the server-side fold frames, in O(chunks) bytes.
 func (c *Client) AggregateFold(pres []int64, kind AggKind, opts AggregateOptions) (*Aggregate, error) {
+	return c.aggregate(pres, kind, !opts.NoVerify, func(agg *Aggregate, sorted []int64) error {
+		return c.foldFrames(agg, sorted, kind, opts)
+	})
+}
+
+// FoldFromRows computes the same aggregate the pre-fold way: fetch every
+// row's share, reconstruct and sum client-side — O(rows) exchanges and
+// bytes, with no verification share. It is the oracle AggregateFold is
+// tested against and the baseline the aggregate experiment measures.
+// COUNT needs no server work at all here: the client already named the
+// rows.
+func (c *Client) FoldFromRows(pres []int64, kind AggKind) (*Aggregate, error) {
+	return c.aggregate(pres, kind, false, func(agg *Aggregate, sorted []int64) error {
+		if kind == AggCount {
+			return nil
+		}
+		buf := c.r.GetPoly()
+		defer c.r.PutPoly(buf)
+		for _, pre := range sorted {
+			row, err := c.api.Poly(pre)
+			if err != nil {
+				return err
+			}
+			if err := c.r.DecodeInto(buf, row.Poly); err != nil {
+				return decodeErr(pre, err)
+			}
+			c.Counters.Decodes.Add(1)
+			c.scheme.ReconstructInto(buf, buf, uint64(pre))
+			c.Counters.Reconstructions.Add(1)
+			c.r.AddInPlace(agg.Sum, buf)
+			c.Counters.Folds.Add(1)
+		}
+		return nil
+	})
+}
+
+// aggregate is the shared frame of AggregateFold and FoldFromRows: sort
+// and dedup the rows, run fold over a non-empty set, derive AVG.
+func (c *Client) aggregate(pres []int64, kind AggKind, verified bool, fold func(*Aggregate, []int64) error) (*Aggregate, error) {
 	if kind != AggCount && kind != AggSum && kind != AggAvg {
 		return nil, fmt.Errorf("filter: unknown aggregate kind %v", kind)
 	}
 	sorted := sortedDedup(pres)
-	agg := &Aggregate{Kind: kind, Count: int64(len(sorted)), Folded: true, Verified: !opts.NoVerify}
+	agg := &Aggregate{Kind: kind, Count: int64(len(sorted)), Verified: verified}
 	if kind != AggCount {
 		agg.Sum = c.r.NewPoly()
 	}
 	if len(sorted) > 0 {
-		api, ok := c.api.(AggregateAPI)
-		err := ErrAggregateUnsupported
-		if ok {
-			err = c.foldFrames(agg, api, sorted, kind, opts)
-		}
-		if errors.Is(err, ErrAggregateUnsupported) {
-			err = c.foldFromRows(agg, sorted, kind)
-		}
-		if err != nil {
+		if err := fold(agg, sorted); err != nil {
 			return nil, err
 		}
 	}
@@ -456,8 +466,8 @@ func sortedDedup(pres []int64) []int64 {
 
 // foldFrames runs the aggregate through fold frames, verifying each
 // chunk as it lands. The accumulated sum replaces agg.Sum only on full
-// success, so a downgrade mid-way restarts cleanly.
-func (c *Client) foldFrames(agg *Aggregate, api AggregateAPI, sorted []int64, kind AggKind, opts AggregateOptions) error {
+// success.
+func (c *Client) foldFrames(agg *Aggregate, sorted []int64, kind AggKind, opts AggregateOptions) error {
 	q := c.r.Field().Q()
 	bound := normChunkRows(opts.ChunkRows, q)
 	wireKind := wireAggSum
@@ -484,7 +494,7 @@ func (c *Client) foldFrames(agg *Aggregate, api AggregateAPI, sorted []int64, ki
 			Mask:      mask,
 			ChunkRows: opts.ChunkRows,
 		}
-		reply, err := api.AggregateBatch(req)
+		reply, err := c.api.AggregateBatch(req)
 		if err != nil {
 			return err
 		}
@@ -618,37 +628,6 @@ func (c *Client) checkChunk(ck *AggregateChunk, seg []int64, mask []gf.Elem, kin
 		}
 	}
 	return T, nil
-}
-
-// foldFromRows is the pre-aggregate fallback and the oracle the fold is
-// tested against: fetch every row's share, reconstruct, and sum
-// client-side — O(rows) exchanges and bytes, exactly what old servers
-// cost (each Poly call lands in Session.RoundTrips). COUNT needs no
-// server work at all here: the client already named the rows.
-func (c *Client) foldFromRows(agg *Aggregate, sorted []int64, kind AggKind) error {
-	agg.Folded, agg.Verified = false, false
-	if kind == AggCount {
-		return nil
-	}
-	total := c.r.NewPoly()
-	buf := c.r.GetPoly()
-	defer c.r.PutPoly(buf)
-	for _, pre := range sorted {
-		row, err := c.api.Poly(pre)
-		if err != nil {
-			return err
-		}
-		if err := c.r.DecodeInto(buf, row.Poly); err != nil {
-			return decodeErr(pre, err)
-		}
-		c.Counters.Decodes.Add(1)
-		c.scheme.ReconstructInto(buf, buf, uint64(pre))
-		c.Counters.Reconstructions.Add(1)
-		c.r.AddInPlace(total, buf)
-		c.Counters.Folds.Add(1)
-	}
-	agg.Sum = total
-	return nil
 }
 
 // finishAvg derives AVG = SUM · (COUNT mod q)⁻¹.

@@ -8,7 +8,6 @@ import (
 
 	"encshare/internal/gf"
 	"encshare/internal/ring"
-	"encshare/internal/rmi"
 	"encshare/internal/xmldoc"
 )
 
@@ -122,6 +121,13 @@ func TestAggregateFoldParity(t *testing.T) {
 	for cliName, cli := range map[string]*Client{"local": fx.local, "remote": fx.remote} {
 		for setName, pres := range rowSets {
 			want := oracleSum(t, cli, sortedDedup(pres))
+			recon, err := cli.FoldFromRows(pres, AggSum)
+			if err != nil {
+				t.Fatalf("%s/%s: FoldFromRows: %v", cliName, setName, err)
+			}
+			if !cli.r.Equal(recon.Sum, want) || recon.Count != int64(len(sortedDedup(pres))) || recon.Verified {
+				t.Fatalf("%s/%s: FoldFromRows disagrees with the reconstruct oracle", cliName, setName)
+			}
 			for _, opts := range []AggregateOptions{
 				{},
 				{NoVerify: true},
@@ -139,9 +145,6 @@ func TestAggregateFoldParity(t *testing.T) {
 				}
 				if !cli.r.Equal(agg.Sum, want) {
 					t.Fatalf("%s/%s/%+v: folded sum != reconstruct oracle", cliName, setName, opts)
-				}
-				if !agg.Folded {
-					t.Fatalf("%s/%s: fold fell back to reconstruction", cliName, setName)
 				}
 				if agg.Verified != !opts.NoVerify {
 					t.Fatalf("%s/%s/%+v: Verified = %v", cliName, setName, opts, agg.Verified)
@@ -186,8 +189,8 @@ func TestAggregateFoldEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if agg.Count != 0 || !fx.r.IsZero(agg.Sum) || !agg.Folded {
-		t.Fatalf("empty fold: count=%d, zero=%v, folded=%v", agg.Count, fx.r.IsZero(agg.Sum), agg.Folded)
+	if agg.Count != 0 || !fx.r.IsZero(agg.Sum) {
+		t.Fatalf("empty fold: count=%d, zero=%v", agg.Count, fx.r.IsZero(agg.Sum))
 	}
 	if _, err := fx.local.AggregateFold(nil, AggAvg, AggregateOptions{}); !errors.As(err, new(*AvgUndefinedError)) {
 		t.Fatalf("AVG over zero rows: err = %v, want AvgUndefinedError", err)
@@ -353,12 +356,11 @@ func TestAggregateBatchPure(t *testing.T) {
 // malicious or buggy shard.
 type tamperAPI struct {
 	ServerAPI
-	inner  AggregateAPI
 	mutate func(*AggregateReply)
 }
 
 func (a *tamperAPI) AggregateBatch(req AggregateRequest) (AggregateReply, error) {
-	reply, err := a.inner.AggregateBatch(req)
+	reply, err := a.ServerAPI.AggregateBatch(req)
 	if err != nil {
 		return reply, err
 	}
@@ -375,8 +377,17 @@ func TestAggregateTamperDetection(t *testing.T) {
 		"corrupt sum blob": func(r *AggregateReply) {
 			r.Chunks[0].Sum[0] ^= 1
 		},
+		// Flipping a bit of the packed blob changes the decoded share by
+		// some Δ that still vanishes at the check point about 1 time in
+		// q (the 1 − 1/q soundness bound). Adding the constant 1, which
+		// is nonzero everywhere, is always caught.
 		"corrupt verification blob": func(r *AggregateReply) {
-			r.Chunks[1].MaskSum[3] ^= 0x40
+			v, err := fx.r.FromBytes(r.Chunks[1].MaskSum)
+			if err != nil {
+				panic(err)
+			}
+			v[0] = fx.r.Field().Add(v[0], 1)
+			r.Chunks[1].MaskSum = fx.r.AppendBytes(nil, v)
 		},
 		"swap chunk sums": func(r *AggregateReply) {
 			r.Chunks[0].Sum, r.Chunks[1].Sum = r.Chunks[1].Sum, r.Chunks[0].Sum
@@ -398,7 +409,7 @@ func TestAggregateTamperDetection(t *testing.T) {
 		},
 	}
 	for name, mutate := range cases {
-		cli := NewClient(&tamperAPI{ServerAPI: fx.server, inner: fx.server, mutate: mutate}, fx.scheme)
+		cli := NewClient(&tamperAPI{ServerAPI: fx.server, mutate: mutate}, fx.scheme)
 		_, err := cli.AggregateFold(pres, AggSum, AggregateOptions{ChunkRows: 20, CheckPoint: point})
 		var ie *IntegrityError
 		if !errors.As(err, &ie) {
@@ -412,7 +423,7 @@ func TestAggregateTamperDetection(t *testing.T) {
 	}
 
 	// Control: the identity mutation passes every check.
-	cli := NewClient(&tamperAPI{ServerAPI: fx.server, inner: fx.server, mutate: func(*AggregateReply) {}}, fx.scheme)
+	cli := NewClient(&tamperAPI{ServerAPI: fx.server, mutate: func(*AggregateReply) {}}, fx.scheme)
 	agg, err := cli.AggregateFold(pres, AggSum, AggregateOptions{ChunkRows: 20, CheckPoint: point})
 	if err != nil {
 		t.Fatalf("untampered reply rejected: %v", err)
@@ -434,77 +445,12 @@ func TestAggregateTamperNeedsCheckPoint(t *testing.T) {
 		fake := fx.r.Linear(5)
 		r.Chunks[0].Sum = fx.r.AppendBytes(nil, fake)
 	}
-	cli := NewClient(&tamperAPI{ServerAPI: fx.server, inner: fx.server, mutate: evil}, fx.scheme)
+	cli := NewClient(&tamperAPI{ServerAPI: fx.server, mutate: evil}, fx.scheme)
 	if _, err := cli.AggregateFold(pres, AggSum, AggregateOptions{}); err != nil {
 		t.Fatalf("expected undetected tamper without CheckPoint, got %v", err)
 	}
 	if _, err := cli.AggregateFold(pres, AggSum, AggregateOptions{CheckPoint: fx.val(t, "item")}); err == nil {
 		t.Fatal("tamper with CheckPoint set went undetected")
-	}
-}
-
-// --- downgrade ---------------------------------------------------------
-
-// legacyAPI hides the aggregate extension: the shape of a pre-aggregate
-// in-process backend.
-type legacyAPI struct{ ServerAPI }
-
-func TestAggregateDowngradeInProcess(t *testing.T) {
-	fx := newFixture(t, testXML)
-	pres := fx.presNamed("item")
-	cli := NewClient(legacyAPI{fx.server}, fx.scheme)
-	want := oracleSum(t, cli, pres)
-	agg, err := cli.AggregateFold(pres, AggSum, AggregateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.Folded || agg.Verified {
-		t.Fatalf("legacy backend: Folded=%v Verified=%v, want false/false", agg.Folded, agg.Verified)
-	}
-	if !fx.r.Equal(agg.Sum, want) {
-		t.Fatal("reconstruct fallback != oracle")
-	}
-}
-
-// TestAggregateDowngradeRemote runs the fold against an rmi server that
-// registered a pre-aggregate API: the first frame answers "unknown
-// method", the client reconstructs rows instead, and later folds skip
-// straight to the fallback without re-probing.
-func TestAggregateDowngradeRemote(t *testing.T) {
-	fx := newFixture(t, wideXML(40))
-	srv := rmi.NewServer()
-	RegisterServer(srv, legacyAPI{fx.server}) // no AggregateAPI ⇒ no aggregate method
-	rc := rmi.Pipe(srv)
-	t.Cleanup(func() { rc.Close() })
-	remote := NewRemote(rc)
-	cli := NewClient(remote, fx.scheme)
-
-	pres := fx.presNamed("item")
-	want := oracleSum(t, fx.local, pres)
-	agg, err := cli.AggregateFold(pres, AggSum, AggregateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.Folded {
-		t.Fatal("old server reported a fold")
-	}
-	if !fx.r.Equal(agg.Sum, want) {
-		t.Fatal("downgraded fold != oracle")
-	}
-	// The fallback is O(rows): one Poly exchange per row plus the single
-	// rejected probe.
-	calls := rc.Stats().Calls
-	if calls < int64(len(pres)) {
-		t.Fatalf("fallback made %d calls for %d rows", calls, len(pres))
-	}
-
-	// Second fold: the unsupported flag short-circuits the probe.
-	before := rc.Stats().Calls
-	if _, err := cli.AggregateFold(pres, AggCount, AggregateOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := rc.Stats().Calls - before; got != 0 {
-		t.Fatalf("COUNT fallback cost %d exchanges, want 0 (client already has the rows)", got)
 	}
 }
 

@@ -9,10 +9,8 @@
 // aggregation is applied to navigation (children/descendant fetches) and
 // to the strict test's polynomial retrievals, so a whole frontier is
 // expanded and filtered in O(1) round-trips instead of O(candidates).
-//
-// Compatibility: BatchAPI is an optional extension of ServerAPI. The
-// Client feature-detects it and falls back to per-call loops against
-// servers that only speak the original protocol.
+// The paper's per-call exchanges stay in ServerAPI too: the sequential
+// engines run on them to reproduce Figs. 5–6.
 package filter
 
 import (
@@ -23,8 +21,6 @@ import (
 	"sync/atomic"
 
 	"encshare/internal/gf"
-	"encshare/internal/rmi"
-	"encshare/internal/store"
 )
 
 // EvalRequest is one member of a batched evaluation: evaluate the server
@@ -59,21 +55,6 @@ type NodePolys struct {
 	Node     PolyRow
 	Children []PolyRow
 	Err      string
-}
-
-// BatchAPI is the batched extension of ServerAPI: each method is one
-// round-trip carrying a whole engine step's worth of work.
-type BatchAPI interface {
-	// EvalBatch evaluates every (node, point) pair, in parallel server-side.
-	EvalBatch(reqs []EvalRequest) ([]EvalResult, error)
-	// NodeBatch returns the metadata of every listed node (parent steps).
-	NodeBatch(pres []int64) ([]NodeMeta, error)
-	// ChildrenBatch returns the children of every listed node, in order.
-	ChildrenBatch(pres []int64) ([][]NodeMeta, error)
-	// DescendantsBatch returns the proper descendants of every span.
-	DescendantsBatch(spans []Span) ([][]NodeMeta, error)
-	// NodePolysBatch returns the equality-test bundle of every listed node.
-	NodePolysBatch(pres []int64) ([]NodePolys, error)
 }
 
 // defaultWorkers is the bound of the batch worker pools.
@@ -129,11 +110,9 @@ func firstBatchErr(errs []EvalResult) error {
 // bytes each, children lists carry one fanout's worth of metadata, and
 // descendant spans / poly bundles carry whole subtrees or share blobs,
 // so they get small chunks with a wide safety margin. The bound is on
-// member count, not bytes — a single pathological member (a subtree of
-// millions of nodes) can still exceed the frame limit, exactly as it
-// already could under the per-call protocol; byte-aware reply framing
-// is a ROADMAP item. Variables, not constants, so tests can shrink
-// them.
+// member count, not bytes; the paged replies of paged.go bound the
+// bytes of the members that can be arbitrarily wide. Variables, not
+// constants, so tests can shrink them.
 var (
 	evalChunkSize     = 1 << 16 // one field element per member
 	metaChunkSize     = 1 << 14 // one NodeMeta per member
@@ -169,20 +148,13 @@ func checkReplyLen[T any](part []T, want int) error {
 	return nil
 }
 
-// batchOrFallback is the shared skeleton of every client batch method:
-// ship frame-bounded chunks through the BatchAPI when the server speaks
-// it (validating each reply's member count), or run the per-call
-// fallback otherwise.
-func batchOrFallback[Req, Resp any](c *Client, reqs []Req, chunk int,
-	batch func(BatchAPI, []Req) ([]Resp, error),
-	fallback func([]Req) ([]Resp, error)) ([]Resp, error) {
-	b, ok := c.api.(BatchAPI)
-	if !ok {
-		return fallback(reqs)
-	}
+// batched is the shared skeleton of every client batch method: ship
+// frame-bounded chunks through the batch method, validating each reply's
+// member count.
+func batched[Req, Resp any](reqs []Req, chunk int, batch func([]Req) ([]Resp, error)) ([]Resp, error) {
 	out := make([]Resp, 0, len(reqs))
 	err := chunked(len(reqs), chunk, func(lo, hi int) error {
-		part, err := batch(b, reqs[lo:hi])
+		part, err := batch(reqs[lo:hi])
 		if err != nil {
 			return err
 		}
@@ -198,77 +170,7 @@ func batchOrFallback[Req, Resp any](c *Client, reqs []Req, chunk int,
 	return out, nil
 }
 
-// clientMemberErr classifies a per-call fallback error: node-level
-// failures (missing rows, remote handler errors) become that member's
-// Err string; anything else — a transport failure — aborts the whole
-// batch rather than burn one doomed call per remaining member.
-func clientMemberErr(err error) (string, error) {
-	var re *rmi.RemoteError
-	if errors.Is(err, store.ErrNotFound) || errors.As(err, &re) {
-		return err.Error(), nil
-	}
-	return "", err
-}
-
-// perCallEvals runs one evaluation per call — the shared EvalBatch
-// fallback of Client (third-party non-batch APIs) and Remote (pre-batch
-// servers), classifying member errors with clientMemberErr.
-func perCallEvals(reqs []EvalRequest, evalAt func(int64, gf.Elem) (gf.Elem, error)) ([]EvalResult, error) {
-	out := make([]EvalResult, len(reqs))
-	for i, q := range reqs {
-		v, err := evalAt(q.Pre, q.Point)
-		if err != nil {
-			msg, terr := clientMemberErr(err)
-			if terr != nil {
-				return nil, terr
-			}
-			out[i].Err = msg
-			continue
-		}
-		out[i].Val = v
-	}
-	return out, nil
-}
-
-// perCallEach runs one request per call — the shared navigation fallback
-// of Client and Remote.
-func perCallEach[Req, Resp any](reqs []Req, get func(Req) (Resp, error)) ([]Resp, error) {
-	out := make([]Resp, len(reqs))
-	for i, q := range reqs {
-		resp, err := get(q)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = resp
-	}
-	return out, nil
-}
-
-// perCallNodePolys assembles equality bundles through per-call fetches —
-// the shared fallback of Client (third-party non-batch APIs) and Remote
-// (pre-batch servers).
-func perCallNodePolys(pres []int64, poly func(int64) (PolyRow, error), children func(int64) ([]PolyRow, error)) ([]NodePolys, error) {
-	out := make([]NodePolys, len(pres))
-	for i, pre := range pres {
-		row, err := poly(pre)
-		if err == nil {
-			var kids []PolyRow
-			kids, err = children(pre)
-			if err == nil {
-				out[i] = NodePolys{Node: row, Children: kids}
-				continue
-			}
-		}
-		msg, terr := clientMemberErr(err)
-		if terr != nil {
-			return nil, terr
-		}
-		out[i].Err = msg
-	}
-	return out, nil
-}
-
-var _ BatchAPI = (*ServerFilter)(nil)
+var _ ServerAPI = (*ServerFilter)(nil)
 
 // SetWorkers bounds the server-side batch worker pool (default
 // GOMAXPROCS; n < 1 resets to the default).
@@ -303,7 +205,7 @@ func groupByPre(n int, preAt func(int) int64) (pres []int64, byPre map[int64][]i
 	return pres, byPre
 }
 
-// EvalBatch implements BatchAPI: all members are evaluated on the worker
+// EvalBatch implements ServerAPI: all members are evaluated on the worker
 // pool against the shared decoded-polynomial cache. Members are grouped
 // by node first, so each distinct polynomial is fetched and decoded once
 // per batch however many points it is evaluated at (the advanced
@@ -342,7 +244,7 @@ func (s *ServerFilter) EvalBatch(reqs []EvalRequest) ([]EvalResult, error) {
 	return out, nil
 }
 
-// NodeBatch implements BatchAPI.
+// NodeBatch implements ServerAPI.
 func (s *ServerFilter) NodeBatch(pres []int64) ([]NodeMeta, error) {
 	out := make([]NodeMeta, len(pres))
 	errs := make([]error, len(pres))
@@ -362,7 +264,7 @@ func (s *ServerFilter) NodeBatch(pres []int64) ([]NodeMeta, error) {
 	return out, nil
 }
 
-// ChildrenBatch implements BatchAPI.
+// ChildrenBatch implements ServerAPI.
 func (s *ServerFilter) ChildrenBatch(pres []int64) ([][]NodeMeta, error) {
 	out := make([][]NodeMeta, len(pres))
 	errs := make([]error, len(pres))
@@ -382,7 +284,7 @@ func (s *ServerFilter) ChildrenBatch(pres []int64) ([][]NodeMeta, error) {
 	return out, nil
 }
 
-// DescendantsBatch implements BatchAPI.
+// DescendantsBatch implements ServerAPI.
 func (s *ServerFilter) DescendantsBatch(spans []Span) ([][]NodeMeta, error) {
 	out := make([][]NodeMeta, len(spans))
 	errs := make([]error, len(spans))
@@ -402,7 +304,7 @@ func (s *ServerFilter) DescendantsBatch(spans []Span) ([][]NodeMeta, error) {
 	return out, nil
 }
 
-// NodePolysBatch implements BatchAPI.
+// NodePolysBatch implements ServerAPI.
 func (s *ServerFilter) NodePolysBatch(pres []int64) ([]NodePolys, error) {
 	out := make([]NodePolys, len(pres))
 	parallelFor(len(pres), s.poolSize(), func(i int) {
@@ -448,14 +350,6 @@ func (c *Client) poolSize() int {
 	return defaultWorkers()
 }
 
-// evalBatch runs the server half of a check batch: one round-trip per
-// chunk on a BatchAPI, a per-call loop otherwise.
-func (c *Client) evalBatch(reqs []EvalRequest) ([]EvalResult, error) {
-	return batchOrFallback(c, reqs, evalChunkSize,
-		func(b BatchAPI, part []EvalRequest) ([]EvalResult, error) { return b.EvalBatch(part) },
-		func(reqs []EvalRequest) ([]EvalResult, error) { return perCallEvals(reqs, c.api.EvalAt) })
-}
-
 // ContainsBatch runs the containment test for every check with a single
 // server exchange: true at index i iff the subtree of checks[i].Pre
 // contains a node mapped to checks[i].Point. The client halves of the
@@ -470,7 +364,7 @@ func (c *Client) ContainsBatch(checks []Check) ([]bool, error) {
 	for i, ch := range checks {
 		reqs[i] = EvalRequest(ch)
 	}
-	results, err := c.evalBatch(reqs)
+	results, err := batched(reqs, evalChunkSize, c.api.EvalBatch)
 	if err != nil {
 		return nil, err
 	}
@@ -502,16 +396,6 @@ func (c *Client) ContainsBatch(checks []Check) ([]bool, error) {
 	return out, nil
 }
 
-// nodePolysBatch fetches equality bundles: one round-trip per chunk on
-// a BatchAPI, per-call loops otherwise.
-func (c *Client) nodePolysBatch(pres []int64) ([]NodePolys, error) {
-	return batchOrFallback(c, pres, polyChunkSize,
-		func(b BatchAPI, part []int64) ([]NodePolys, error) { return b.NodePolysBatch(part) },
-		func(pres []int64) ([]NodePolys, error) {
-			return perCallNodePolys(pres, c.api.Poly, c.api.ChildrenPolys)
-		})
-}
-
 // EqualsBatch runs the strict equality test for every check with a single
 // server exchange fetching all share rows; reconstructions run in
 // parallel on the client worker pool.
@@ -523,7 +407,7 @@ func (c *Client) EqualsBatch(checks []Check) ([]bool, error) {
 	for i, ch := range checks {
 		pres[i] = ch.Pre
 	}
-	bundles, err := c.nodePolysBatch(pres)
+	bundles, err := batched(pres, polyChunkSize, c.api.NodePolysBatch)
 	if err != nil {
 		return nil, err
 	}
@@ -587,15 +471,12 @@ func (c *Client) equalsFromBundle(pre int64, val gf.Elem, b NodePolys) (ok bool,
 	return r.Equal(full, r.MulLinearInto(tmp, prod, val)), n, nil
 }
 
-// NodeBatch fetches the metadata of every listed node in one exchange
-// (falling back to per-call fetches on a plain ServerAPI).
+// NodeBatch fetches the metadata of every listed node in one exchange.
 func (c *Client) NodeBatch(pres []int64) ([]NodeMeta, error) {
 	if len(pres) == 0 {
 		return nil, nil
 	}
-	out, err := batchOrFallback(c, pres, metaChunkSize,
-		func(b BatchAPI, part []int64) ([]NodeMeta, error) { return b.NodeBatch(part) },
-		func(pres []int64) ([]NodeMeta, error) { return perCallEach(pres, c.api.Node) })
+	out, err := batched(pres, metaChunkSize, c.api.NodeBatch)
 	if err != nil {
 		return nil, err
 	}
@@ -604,14 +485,12 @@ func (c *Client) NodeBatch(pres []int64) ([]NodeMeta, error) {
 }
 
 // ChildrenBatch fetches the children of every listed node in one
-// exchange (falling back to per-call fetches on a plain ServerAPI).
+// exchange.
 func (c *Client) ChildrenBatch(pres []int64) ([][]NodeMeta, error) {
 	if len(pres) == 0 {
 		return nil, nil
 	}
-	out, err := batchOrFallback(c, pres, childrenChunkSize,
-		func(b BatchAPI, part []int64) ([][]NodeMeta, error) { return b.ChildrenBatch(part) },
-		func(pres []int64) ([][]NodeMeta, error) { return perCallEach(pres, c.api.Children) })
+	out, err := batched(pres, childrenChunkSize, c.api.ChildrenBatch)
 	if err != nil {
 		return nil, err
 	}
@@ -624,18 +503,12 @@ func (c *Client) ChildrenBatch(pres []int64) ([][]NodeMeta, error) {
 }
 
 // DescendantsBatch fetches the proper descendants of every span in one
-// exchange (falling back to per-call fetches on a plain ServerAPI).
+// exchange.
 func (c *Client) DescendantsBatch(spans []Span) ([][]NodeMeta, error) {
 	if len(spans) == 0 {
 		return nil, nil
 	}
-	out, err := batchOrFallback(c, spans, descChunkSize,
-		func(b BatchAPI, part []Span) ([][]NodeMeta, error) { return b.DescendantsBatch(part) },
-		func(spans []Span) ([][]NodeMeta, error) {
-			return perCallEach(spans, func(sp Span) ([]NodeMeta, error) {
-				return c.api.Descendants(sp.Pre, sp.Post)
-			})
-		})
+	out, err := batched(spans, descChunkSize, c.api.DescendantsBatch)
 	if err != nil {
 		return nil, err
 	}

@@ -3,8 +3,6 @@ package filter
 import (
 	"strings"
 	"testing"
-
-	"encshare/internal/rmi"
 )
 
 // allChecks builds the full (node × name) check matrix of the fixture —
@@ -30,7 +28,7 @@ func TestEvalBatchMatchesEvalAt(t *testing.T) {
 	rem := NewRemote(fx.rmiCli)
 	for _, tc := range []struct {
 		name string
-		api  BatchAPI
+		api  ServerAPI
 	}{
 		{"local", fx.server},
 		{"remote", rem},
@@ -47,9 +45,8 @@ func TestEvalBatchMatchesEvalAt(t *testing.T) {
 		if len(got) != len(reqs) {
 			t.Fatalf("%s: %d results for %d requests", tc.name, len(got), len(reqs))
 		}
-		sapi := tc.api.(ServerAPI)
 		for i, q := range reqs {
-			want, err := sapi.EvalAt(q.Pre, q.Point)
+			want, err := tc.api.EvalAt(q.Pre, q.Point)
 			if err != nil {
 				t.Fatalf("%s: EvalAt(%d): %v", tc.name, q.Pre, err)
 			}
@@ -67,7 +64,7 @@ func TestEvalBatchPartialErrors(t *testing.T) {
 	rem := NewRemote(fx.rmiCli)
 	for _, tc := range []struct {
 		name string
-		api  BatchAPI
+		api  ServerAPI
 	}{
 		{"local", fx.server},
 		{"remote", rem},
@@ -245,60 +242,6 @@ func TestNavigationBatches(t *testing.T) {
 	}
 }
 
-// oldAPI hides the batch methods of a ServerFilter, simulating a server
-// that predates the batch protocol.
-type oldAPI struct{ ServerAPI }
-
-// TestBatchFallbackAgainstOldServer: a batch-capable client against a
-// per-call-only server must degrade gracefully — first batch call probes,
-// gets "unknown method", and every check still returns the right answer
-// through per-call exchanges.
-func TestBatchFallbackAgainstOldServer(t *testing.T) {
-	fx := newFixture(t, testXML)
-	srv := rmi.NewServer()
-	RegisterServer(srv, oldAPI{fx.server})
-	rmiCli := rmi.Pipe(srv)
-	t.Cleanup(func() { rmiCli.Close() })
-	rem := NewRemote(rmiCli)
-	cli := NewClient(rem, fx.scheme)
-
-	checks := allChecks(t, fx)
-	got, err := cli.ContainsBatch(checks)
-	if err != nil {
-		t.Fatalf("ContainsBatch over old server: %v", err)
-	}
-	for i, c := range checks {
-		want, err := fx.local.Contains(c.Pre, c.Point)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[i] != want {
-			t.Fatalf("member %d (pre=%d) = %v, want %v", i, c.Pre, got[i], want)
-		}
-	}
-	eqGot, err := cli.EqualsBatch(checks[:20])
-	if err != nil {
-		t.Fatalf("EqualsBatch over old server: %v", err)
-	}
-	for i, c := range checks[:20] {
-		want, err := fx.local.Equals(c.Pre, c.Point)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if eqGot[i] != want {
-			t.Fatalf("equals member %d = %v, want %v", i, eqGot[i], want)
-		}
-	}
-
-	counts := rem.CallCounts()
-	if counts[methodEvalBatch] != 1 {
-		t.Fatalf("expected exactly one batch probe, got %d", counts[methodEvalBatch])
-	}
-	if counts[methodEvalAt] != int64(len(checks)) {
-		t.Fatalf("fallback issued %d EvalAt calls, want %d", counts[methodEvalAt], len(checks))
-	}
-}
-
 // TestRemoteBatchRoundTrips: one batch = one round-trip, whatever its
 // size.
 func TestRemoteBatchRoundTrips(t *testing.T) {
@@ -316,7 +259,7 @@ func TestRemoteBatchRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := rem.CallCounts()
-	if n := counts[methodNodePolysPage] + counts[methodNodePolysBatch]; n != 1 {
+	if n := counts[methodNodePolysPage]; n != 1 {
 		t.Fatalf("EqualsBatch cost %d poly round-trips, want 1", n)
 	}
 	if counts[methodPoly] != 0 || counts[methodChildrenPolys] != 0 {
@@ -359,7 +302,7 @@ func TestBatchChunking(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := rem.CallCounts()
-	if n := counts[methodNodePolysPage] + counts[methodNodePolysBatch]; n != 4 { // ceil(10/3)
+	if n := counts[methodNodePolysPage]; n != 4 { // ceil(10/3)
 		t.Fatalf("10 equals over chunk size 3 cost %d poly round-trips, want 4", n)
 	}
 	for i, c := range checks[:10] {

@@ -11,11 +11,11 @@
 //     reconstructions.
 //
 // The ClientFilter works against any ServerAPI: the in-process
-// ServerFilter or an rmi proxy, which is how the prototype splits work
-// over the network. Implementations that additionally provide BatchAPI
-// (see batch.go) let the client collapse a whole engine step's checks
-// into one round-trip; the client feature-detects batching and falls
-// back to the original per-call protocol otherwise.
+// ServerFilter, an rmi proxy (which is how the prototype splits work
+// over the network), or a cluster of them. Besides the paper's per-call
+// operations, ServerAPI carries the batch methods (see batch.go) that
+// collapse a whole engine step's checks into one round-trip, the
+// aggregate fold and the server work counters.
 package filter
 
 import (
@@ -44,7 +44,8 @@ type PolyRow struct {
 }
 
 // ServerAPI is the operation set the server exposes — the paper's Filter
-// interface as seen from the client.
+// interface as seen from the client, plus the batched, aggregate and
+// stats extensions every backend implements.
 type ServerAPI interface {
 	// Root returns the document root (parent = 0).
 	Root() (NodeMeta, error)
@@ -63,6 +64,25 @@ type ServerAPI interface {
 	ChildrenPolys(pre int64) ([]PolyRow, error)
 	// Count returns the number of stored nodes.
 	Count() (int64, error)
+
+	// EvalBatch evaluates every (node, point) pair, in parallel
+	// server-side: one round-trip per engine step.
+	EvalBatch(reqs []EvalRequest) ([]EvalResult, error)
+	// NodeBatch returns the metadata of every listed node (parent steps).
+	NodeBatch(pres []int64) ([]NodeMeta, error)
+	// ChildrenBatch returns the children of every listed node, in order.
+	ChildrenBatch(pres []int64) ([][]NodeMeta, error)
+	// DescendantsBatch returns the proper descendants of every span.
+	DescendantsBatch(spans []Span) ([][]NodeMeta, error)
+	// NodePolysBatch returns the equality-test bundle of every listed node.
+	NodePolysBatch(pres []int64) ([]NodePolys, error)
+
+	// AggregateBatch folds the server shares of the named rows (see
+	// aggregate.go).
+	AggregateBatch(req AggregateRequest) (AggregateReply, error)
+	// ServerStats reports the server-side work counters; a cluster sums
+	// its shards.
+	ServerStats() (ServerStats, error)
 }
 
 // ServerFilter implements ServerAPI directly against a store. It holds a
@@ -147,8 +167,7 @@ type ServerStats struct {
 	CacheMisses int64
 	Decodes     int64
 	// Aggregates counts aggregate fold frames served (AggregateBatch
-	// calls). Gob tolerates the field's absence in either direction, so
-	// old and new binaries interoperate (old peers report/see zero).
+	// calls).
 	Aggregates int64
 }
 
@@ -176,15 +195,7 @@ func (s ServerStats) Sub(o ServerStats) ServerStats {
 	}
 }
 
-// StatsAPI is the optional introspection extension of ServerAPI. The
-// in-process ServerFilter implements it directly; Remote fetches the
-// stats over the wire (returning zeros from servers that predate the
-// method); a cluster filter sums its shards.
-type StatsAPI interface {
-	ServerStats() (ServerStats, error)
-}
-
-// ServerStats implements StatsAPI. The counters are per-filter: two
+// ServerStats implements ServerAPI. The counters are per-filter: two
 // tenants' filters sharing one cache still report disjoint traffic.
 func (s *ServerFilter) ServerStats() (ServerStats, error) {
 	return ServerStats{
@@ -440,15 +451,9 @@ func (c *Client) Contains(pre int64, val gf.Elem) (bool, error) {
 	return c.r.Field().Add(sv, cv) == 0, nil
 }
 
-// ServerStats fetches the server-side work counters when the backend
-// exposes them (StatsAPI); zeros otherwise. For remote backends this is
-// one exchange; for clusters it aggregates the shards.
-func (c *Client) ServerStats() (ServerStats, error) {
-	if sa, ok := c.api.(StatsAPI); ok {
-		return sa.ServerStats()
-	}
-	return ServerStats{}, nil
-}
+// ServerStats fetches the server-side work counters. For remote
+// backends this is one exchange; for clusters it aggregates the shards.
+func (c *Client) ServerStats() (ServerStats, error) { return c.api.ServerStats() }
 
 // Reconstruct fetches the server share of pre and adds the regenerated
 // client share, yielding the true node polynomial. The decode lands in

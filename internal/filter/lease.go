@@ -70,16 +70,12 @@ type LeasedBatch struct {
 }
 
 // LeaseAPI is the optional interface for server-sequenced multi-writer
-// mutation. RegisterServerAt exposes it as the v7 wire methods.
+// mutation; a backend without it is read-only.
 type LeaseAPI interface {
 	AcquireLease(req LeaseRequest) (LeaseGrant, error)
 	ReleaseLease(id uint64) error
 	MutateLeased(lb LeasedBatch) (MutateReply, error)
 }
-
-// ErrLeaseUnsupported reports a server that predates the lease frames.
-// Sessions fall back to optimistic client-side sequencing.
-var ErrLeaseUnsupported = errors.New("filter: server does not support writer leases")
 
 // leaseHeldPrefix is the wire-stable start of a LeaseHeldError message.
 const leaseHeldPrefix = "filter: lease held"

@@ -219,13 +219,13 @@ func IsBatchMismatch(err error) bool {
 	return errors.As(err, &re) && strings.Contains(re.Msg, batchMismatchPrefix)
 }
 
-// ErrMutationUnsupported reports a server that predates the mutation
-// frames: writes cannot downgrade the way reads do, so the caller sees
-// a typed refusal instead of silent data loss.
-var ErrMutationUnsupported = errors.New("filter: server does not support mutation frames")
+// ErrReadOnly reports a backend with no write path: a server that
+// serves a plain ServerFilter registers neither MutableAPI nor LeaseAPI,
+// and every write or lease call against it fails with this error.
+var ErrReadOnly = errors.New("filter: server is read-only")
 
 // MutableAPI is the optional interface a writable backend adds on top
-// of ServerAPI. RegisterServerAt exposes it as the v6 wire methods.
+// of ServerAPI; a backend without it is read-only.
 type MutableAPI interface {
 	Mutate(b MutationBatch) (MutateReply, error)
 	Epoch() (EpochInfo, error)
@@ -454,8 +454,7 @@ func (m *Mutable) WALTrips() uint64 { return m.trips.Load() }
 
 // epochOf maps a log position to the reader-visible epoch: a fresh
 // table is epoch 1, every applied batch bumps it by one. Epoch 0 on the
-// wire means "unpinned" (and keeps pre-mutation frames byte-identical,
-// since gob omits zero fields).
+// wire means "unpinned".
 func epochOf(lastSeq uint64) uint64 { return lastSeq + 1 }
 
 // LastSeq returns the sequence number of the last applied batch.

@@ -15,10 +15,8 @@
 // children's share rows, bounded by fanout × poly size), with at least
 // one bundle per page so progress is guaranteed.
 //
-// Compatibility follows the batch.go pattern: new servers register the
-// paged methods alongside the originals; Remote probes the paged method
-// once and falls back to the unpaged batch (then to per-call) against
-// older servers.
+// Remote speaks only the paged form of these two batches: there is no
+// unpaged wire method for DescendantsBatch or NodePolysBatch.
 package filter
 
 import (
@@ -84,9 +82,9 @@ type descPageReply struct {
 	Done       bool
 }
 
-// pageDescendants serves one page of a DescendantsBatch reply over any
-// BatchAPI, splitting inside wide members at row granularity.
-func pageDescendants(b BatchAPI, a descPageArgs) (descPageReply, error) {
+// pageDescendants serves one page of a DescendantsBatch reply from
+// fetch, splitting inside wide members at row granularity.
+func pageDescendants(fetch func([]Span) ([][]NodeMeta, error), a descPageArgs) (descPageReply, error) {
 	n := len(a.Spans)
 	if a.Member < 0 || a.Member > n {
 		return descPageReply{}, fmt.Errorf("filter: bad descendants page cursor %d", a.Member)
@@ -105,7 +103,7 @@ func pageDescendants(b BatchAPI, a descPageArgs) (descPageReply, error) {
 		if resume > 0 {
 			window[0] = Span{Pre: resume, Post: window[0].Post}
 		}
-		lists, err := b.DescendantsBatch(window)
+		lists, err := fetch(window)
 		if err != nil {
 			return descPageReply{}, err
 		}
@@ -199,71 +197,57 @@ func pageBundles[T any](a bundlePageArgs, fetch func([]int64) ([]T, error), size
 
 // remotePagedBundles drives a paged bundle method from the client side:
 // loop pages until Done, validating that the (untrusted) server makes
-// progress and answers exactly the requested members. handled=false
-// means the server does not speak the paged protocol.
-func remotePagedBundles[T any](r *Remote, method string, pres []int64) (out []T, handled bool, err error) {
-	if r.pagedOff(method) {
-		return nil, false, nil
-	}
+// progress and answers exactly the requested members.
+func remotePagedBundles[T any](r *Remote, method string, pres []int64) ([]T, error) {
 	if len(pres) == 0 {
-		return nil, true, nil
+		return nil, nil
 	}
-	out = make([]T, 0, len(pres))
+	out := make([]T, 0, len(pres))
 	for {
 		var rep bundlePage[T]
 		if err := r.call(method, bundlePageArgs{Pres: pres, Member: len(out)}, &rep); err != nil {
-			if r.notePagedUnknown(err, method) {
-				return nil, false, nil
-			}
-			return nil, true, err
+			return nil, err
 		}
 		if len(rep.Bundles) == 0 && !rep.Done {
-			return nil, true, &BadReplyError{Msg: fmt.Sprintf("paged %s reply made no progress at member %d", method, len(out))}
+			return nil, &BadReplyError{Msg: fmt.Sprintf("paged %s reply made no progress at member %d", method, len(out))}
 		}
 		out = append(out, rep.Bundles...)
 		if len(out) > len(pres) {
-			return nil, true, &BadReplyError{Msg: fmt.Sprintf("paged %s reply carried %d members for %d requests", method, len(out), len(pres))}
+			return nil, &BadReplyError{Msg: fmt.Sprintf("paged %s reply carried %d members for %d requests", method, len(out), len(pres))}
 		}
 		if rep.Done {
 			if err := checkReplyLen(out, len(pres)); err != nil {
-				return nil, true, err
+				return nil, err
 			}
-			return out, true, nil
+			return out, nil
 		}
 	}
 }
 
-// descendantsPaged drives the paged descendants method; handled=false
-// means the server does not speak it.
-func (r *Remote) descendantsPaged(spans []Span) (out [][]NodeMeta, handled bool, err error) {
-	if r.pagedOff(methodDescendantsPage) {
-		return nil, false, nil
-	}
+// descendantsPaged drives the paged descendants method.
+func (r *Remote) descendantsPaged(spans []Span) ([][]NodeMeta, error) {
 	if len(spans) == 0 {
-		return nil, true, nil
+		return nil, nil
 	}
-	out = make([][]NodeMeta, len(spans))
+	out := make([][]NodeMeta, len(spans))
 	m, resume := 0, int64(0)
 	for {
 		var rep descPageReply
 		if err := r.call(methodDescendantsPage, descPageArgs{Spans: spans, Member: m, Resume: resume}, &rep); err != nil {
-			if r.notePagedUnknown(err, methodDescendantsPage) {
-				return nil, false, nil
-			}
-			return nil, true, err
+			return nil, err
 		}
 		for _, p := range rep.Parts {
 			if p.Member < m || p.Member >= len(spans) {
-				return nil, true, &BadReplyError{Msg: fmt.Sprintf("paged descendants reply addressed member %d outside [%d, %d)", p.Member, m, len(spans))}
+				return nil, &BadReplyError{Msg: fmt.Sprintf("paged descendants reply addressed member %d outside [%d, %d)", p.Member, m, len(spans))}
 			}
 			out[p.Member] = append(out[p.Member], p.Metas...)
 		}
 		if rep.Done {
-			return out, true, nil
+			return out, nil
 		}
 		if rep.NextMember < m || rep.NextMember >= len(spans) ||
 			(rep.NextMember == m && rep.NextResume <= resume) {
-			return nil, true, &BadReplyError{Msg: fmt.Sprintf("paged descendants reply made no progress (cursor %d/%d -> %d/%d)",
+			return nil, &BadReplyError{Msg: fmt.Sprintf("paged descendants reply made no progress (cursor %d/%d -> %d/%d)",
 				m, resume, rep.NextMember, rep.NextResume)}
 		}
 		m, resume = rep.NextMember, rep.NextResume

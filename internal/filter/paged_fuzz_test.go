@@ -36,11 +36,6 @@ func (f *fakeDescAPI) DescendantsBatch(spans []Span) ([][]NodeMeta, error) {
 	return out, nil
 }
 
-func (f *fakeDescAPI) EvalBatch([]EvalRequest) ([]EvalResult, error) { return nil, nil }
-func (f *fakeDescAPI) NodeBatch([]int64) ([]NodeMeta, error)         { return nil, nil }
-func (f *fakeDescAPI) ChildrenBatch([]int64) ([][]NodeMeta, error)   { return nil, nil }
-func (f *fakeDescAPI) NodePolysBatch([]int64) ([]NodePolys, error)   { return nil, nil }
-
 // fuzzMembers synthesizes nMembers spans with pseudo-random widths and
 // pre gaps from seed.
 func fuzzMembers(seed int64, nMembers int) ([]Span, *fakeDescAPI) {
@@ -67,19 +62,19 @@ func fuzzMembers(seed int64, nMembers int) ([]Span, *fakeDescAPI) {
 // drainDescPages drives the server-side pager from an arbitrary cursor
 // exactly as the remote client loop does, with the client's progress
 // validation, and returns the reassembled per-member rows.
-func drainDescPages(t *testing.T, api BatchAPI, spans []Span, member int, resume int64) [][]NodeMeta {
+func drainDescPages(t *testing.T, api *fakeDescAPI, spans []Span, member int, resume int64) [][]NodeMeta {
 	t.Helper()
 	out := make([][]NodeMeta, len(spans))
 	var total int
 	for _, sp := range spans {
-		total += len(api.(*fakeDescAPI).byPost[sp.Post])
+		total += len(api.byPost[sp.Post])
 	}
 	m, r := member, resume
 	for pages := 0; ; pages++ {
 		if pages > total+len(spans)+2 {
 			t.Fatalf("page loop did not terminate after %d pages", pages)
 		}
-		rep, err := pageDescendants(api, descPageArgs{Spans: spans, Member: m, Resume: r})
+		rep, err := pageDescendants(api.DescendantsBatch, descPageArgs{Spans: spans, Member: m, Resume: r})
 		if err != nil {
 			t.Fatalf("pageDescendants(member=%d resume=%d): %v", m, r, err)
 		}

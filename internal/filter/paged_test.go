@@ -3,8 +3,6 @@ package filter
 import (
 	"strings"
 	"testing"
-
-	"encshare/internal/rmi"
 )
 
 // wideXML builds a document with one deliberately wide node: a root with
@@ -120,102 +118,5 @@ func TestPagedNormalBudgetOnePage(t *testing.T) {
 	if counts[methodDescendantsPage] != 1 || counts[methodNodePolysPage] != 1 {
 		t.Fatalf("normal batches cost %d/%d pages, want 1/1",
 			counts[methodDescendantsPage], counts[methodNodePolysPage])
-	}
-}
-
-// batchOnlyAPI exposes the batch protocol but not the cluster partial
-// extension — a server registering some paged methods but not others.
-type batchOnlyAPI struct {
-	ServerAPI
-	BatchAPI
-}
-
-// TestPagedDowngradeIsPerMethod: rejecting one paged method must not
-// disable the others — a missing NodePolysPartialPage falls back
-// per-call while DescendantsBatch keeps using its paged protocol.
-func TestPagedDowngradeIsPerMethod(t *testing.T) {
-	fx := newFixture(t, wideXML(300))
-	oldBudget := ReplyByteBudget
-	ReplyByteBudget = 2048
-	t.Cleanup(func() { ReplyByteBudget = oldBudget })
-
-	srv := rmi.NewServer()
-	RegisterServer(srv, batchOnlyAPI{fx.server, fx.server})
-	cli := rmi.Pipe(srv)
-	t.Cleanup(func() { cli.Close() })
-	rem := NewRemote(cli)
-
-	got, err := rem.NodePolysPartial([]int64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got[0].Has || len(got[0].Children) != 300 {
-		t.Fatalf("partial fallback bundle = has=%v children=%d", got[0].Has, len(got[0].Children))
-	}
-	root, err := rem.Root()
-	if err != nil {
-		t.Fatal(err)
-	}
-	desc, err := rem.DescendantsBatch([]Span{{Pre: root.Pre, Post: root.Post}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(desc[0]) != 300 {
-		t.Fatalf("descendants after partial downgrade = %d rows", len(desc[0]))
-	}
-	counts := rem.CallCounts()
-	if counts[methodNodePolysPartialPage] != 1 {
-		t.Fatalf("partial paged probed %d times", counts[methodNodePolysPartialPage])
-	}
-	if counts[methodDescendantsPage] < 2 {
-		t.Fatalf("descendants abandoned its paged protocol: %v", counts)
-	}
-	if counts[methodDescendantsBatch] != 0 {
-		t.Fatalf("descendants fell back to v1 despite paged support: %v", counts)
-	}
-}
-
-// TestPagedFallbackToV1: against a PR1-era server (batch methods, no
-// paged methods) the client probes once and downgrades to the unpaged
-// batch — not all the way to per-call.
-func TestPagedFallbackToV1(t *testing.T) {
-	fx := newFixture(t, testXML)
-	srv := rmi.NewServer()
-	rmi.HandleFunc(srv, methodDescendantsBatch, func(spans []Span) ([][]NodeMeta, error) {
-		return fx.server.DescendantsBatch(spans)
-	})
-	rmi.HandleFunc(srv, methodNodePolysBatch, func(pres []int64) ([]NodePolys, error) {
-		return fx.server.NodePolysBatch(pres)
-	})
-	cli := rmi.Pipe(srv)
-	t.Cleanup(func() { cli.Close() })
-	rem := NewRemote(cli)
-
-	root, err := fx.server.Root()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := rem.DescendantsBatch([]Span{{Pre: root.Pre, Post: root.Post}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(got[0])) != fx.doc.Count-1 {
-		t.Fatalf("v1 fallback returned %d rows", len(got[0]))
-	}
-	if _, err := rem.NodePolysBatch([]int64{1}); err != nil {
-		t.Fatal(err)
-	}
-	// Each paged method probes once and downgrades independently (a
-	// server may register some paged methods but not others), then the
-	// v1 batch methods carry the traffic.
-	if _, err := rem.DescendantsBatch([]Span{{Pre: root.Pre, Post: root.Post}}); err != nil {
-		t.Fatal(err)
-	}
-	counts := rem.CallCounts()
-	if counts[methodDescendantsPage] != 1 || counts[methodNodePolysPage] != 1 {
-		t.Fatalf("expected exactly one paged probe per method, got %v", counts)
-	}
-	if counts[methodDescendantsBatch] != 2 || counts[methodNodePolysBatch] != 1 {
-		t.Fatalf("v1 methods not used after downgrade: %v", counts)
 	}
 }

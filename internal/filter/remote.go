@@ -11,11 +11,11 @@ import (
 )
 
 // RMI method names of the filter service. Client proxy and server binding
-// must agree; they are part of the wire protocol. The *Batch methods are
-// the v2 additions: each call carries a whole engine step's work in one
-// length-prefixed frame. The per-call methods remain registered so old
-// clients keep working against new servers, and new clients fall back
-// when a server predates the batch protocol.
+// must agree; they are part of the wire protocol, whose one version is
+// rmi.FrameVersion. The per-call methods are the paper's protocol; the
+// *Batch and *Page methods carry a whole engine step's work in one
+// frame, paged by reply bytes where a member can be arbitrarily wide
+// (see paged.go).
 const (
 	methodRoot          = "filter.Root"
 	methodNode          = "filter.Node"
@@ -26,35 +26,22 @@ const (
 	methodChildrenPolys = "filter.ChildrenPolys"
 	methodCount         = "filter.Count"
 
-	methodEvalBatch        = "filter.EvalBatch"
-	methodNodeBatch        = "filter.NodeBatch"
-	methodChildrenBatch    = "filter.ChildrenBatch"
-	methodDescendantsBatch = "filter.DescendantsBatch"
-	methodNodePolysBatch   = "filter.NodePolysBatch"
+	methodEvalBatch     = "filter.EvalBatch"
+	methodNodeBatch     = "filter.NodeBatch"
+	methodChildrenBatch = "filter.ChildrenBatch"
 
-	// v3 additions: byte-aware paged replies (see paged.go) and the
-	// cluster seams (see shard.go).
 	methodDescendantsPage      = "filter.DescendantsBatchPage"
 	methodNodePolysPage        = "filter.NodePolysBatchPage"
 	methodNodePolysPartialPage = "filter.NodePolysPartialPage"
 	methodPreRange             = "filter.PreRange"
 
-	// v4 addition: server-side work counters (cache hits/misses, blob
-	// decodes, evaluations) for the compute experiments.
-	methodServerStats = "filter.ServerStats"
-
-	// v5 addition: server-side aggregate folds (see aggregate.go). The
-	// frame itself is versioned (AggregateRequest.Ver) on top of the
-	// method-level feature detection.
+	methodServerStats    = "filter.ServerStats"
 	methodAggregateBatch = "filter.AggregateBatch"
 
-	// v6 additions: the mutation pipeline (see mutate.go). The batch
-	// frame is versioned (MutationBatch.Ver) on top of method-level
-	// feature detection; Epoch is the read side of the fence.
-	methodMutate = "filter.Mutate"
-	methodEpoch  = "filter.Epoch"
-
-	// v7 additions: server-sequenced writer leases (see lease.go).
+	// The write path (see mutate.go and lease.go). A read-only server
+	// registers none of these.
+	methodMutate       = "filter.Mutate"
+	methodEpoch        = "filter.Epoch"
 	methodAcquireLease = "filter.AcquireLease"
 	methodReleaseLease = "filter.ReleaseLease"
 	methodMutateLeased = "filter.MutateLeased"
@@ -68,10 +55,12 @@ type evalArgs struct {
 }
 
 // RegisterServer exposes a ServerAPI (normally a *ServerFilter) on an rmi
-// server — the paper's server-side RMI endpoint. When the API also
-// implements BatchAPI, the batch methods are registered as well. The
-// methods land in the global handler set, which is the single-tenant
-// layout; multi-tenant runtimes use RegisterServerAt per tenant.
+// server — the paper's server-side RMI endpoint. The optional shard
+// (PartialAPI, RangeAPI) and write (MutableAPI, LeaseAPI) extensions are
+// registered when the API implements them; without the write methods
+// the server is read-only. The methods land in the global handler set,
+// which is the single-tenant layout; multi-tenant runtimes use
+// RegisterServerAt per tenant.
 func RegisterServer(srv *rmi.Server, api ServerAPI) {
 	RegisterServerAt(srv, "", api)
 }
@@ -83,50 +72,32 @@ func RegisterServerAt(srv *rmi.Server, tenant string, api ServerAPI) {
 	rmi.HandleFuncAt(srv, tenant, methodRoot, func(struct{}) (NodeMeta, error) {
 		return api.Root()
 	})
-	rmi.HandleFuncAt(srv, tenant, methodNode, func(pre int64) (NodeMeta, error) {
-		return api.Node(pre)
-	})
-	rmi.HandleFuncAt(srv, tenant, methodChildren, func(pre int64) ([]NodeMeta, error) {
-		return api.Children(pre)
-	})
+	rmi.HandleFuncAt(srv, tenant, methodNode, api.Node)
+	rmi.HandleFuncAt(srv, tenant, methodChildren, api.Children)
 	rmi.HandleFuncAt(srv, tenant, methodDescendants, func(a descArgs) ([]NodeMeta, error) {
 		return api.Descendants(a.Pre, a.Post)
 	})
 	rmi.HandleFuncAt(srv, tenant, methodEvalAt, func(a evalArgs) (gf.Elem, error) {
 		return api.EvalAt(a.Pre, a.Point)
 	})
-	rmi.HandleFuncAt(srv, tenant, methodPoly, func(pre int64) (PolyRow, error) {
-		return api.Poly(pre)
-	})
-	rmi.HandleFuncAt(srv, tenant, methodChildrenPolys, func(pre int64) ([]PolyRow, error) {
-		return api.ChildrenPolys(pre)
-	})
+	rmi.HandleFuncAt(srv, tenant, methodPoly, api.Poly)
+	rmi.HandleFuncAt(srv, tenant, methodChildrenPolys, api.ChildrenPolys)
 	rmi.HandleFuncAt(srv, tenant, methodCount, func(struct{}) (int64, error) {
 		return api.Count()
 	})
-	if b, ok := api.(BatchAPI); ok {
-		rmi.HandleFuncAt(srv, tenant, methodEvalBatch, func(reqs []EvalRequest) ([]EvalResult, error) {
-			return b.EvalBatch(reqs)
-		})
-		rmi.HandleFuncAt(srv, tenant, methodNodeBatch, func(pres []int64) ([]NodeMeta, error) {
-			return b.NodeBatch(pres)
-		})
-		rmi.HandleFuncAt(srv, tenant, methodChildrenBatch, func(pres []int64) ([][]NodeMeta, error) {
-			return b.ChildrenBatch(pres)
-		})
-		rmi.HandleFuncAt(srv, tenant, methodDescendantsBatch, func(spans []Span) ([][]NodeMeta, error) {
-			return b.DescendantsBatch(spans)
-		})
-		rmi.HandleFuncAt(srv, tenant, methodNodePolysBatch, func(pres []int64) ([]NodePolys, error) {
-			return b.NodePolysBatch(pres)
-		})
-		rmi.HandleFuncAt(srv, tenant, methodDescendantsPage, func(a descPageArgs) (descPageReply, error) {
-			return pageDescendants(b, a)
-		})
-		rmi.HandleFuncAt(srv, tenant, methodNodePolysPage, func(a bundlePageArgs) (bundlePage[NodePolys], error) {
-			return pageBundles(a, b.NodePolysBatch, nodePolysWire)
-		})
-	}
+	rmi.HandleFuncAt(srv, tenant, methodEvalBatch, api.EvalBatch)
+	rmi.HandleFuncAt(srv, tenant, methodNodeBatch, api.NodeBatch)
+	rmi.HandleFuncAt(srv, tenant, methodChildrenBatch, api.ChildrenBatch)
+	rmi.HandleFuncAt(srv, tenant, methodDescendantsPage, func(a descPageArgs) (descPageReply, error) {
+		return pageDescendants(api.DescendantsBatch, a)
+	})
+	rmi.HandleFuncAt(srv, tenant, methodNodePolysPage, func(a bundlePageArgs) (bundlePage[NodePolys], error) {
+		return pageBundles(a, api.NodePolysBatch, nodePolysWire)
+	})
+	rmi.HandleFuncAt(srv, tenant, methodServerStats, func(struct{}) (ServerStats, error) {
+		return api.ServerStats()
+	})
+	rmi.HandleFuncAt(srv, tenant, methodAggregateBatch, api.AggregateBatch)
 	if p, ok := api.(PartialAPI); ok {
 		rmi.HandleFuncAt(srv, tenant, methodNodePolysPartialPage, func(a bundlePageArgs) (bundlePage[PartialNodePolys], error) {
 			return pageBundles(a, p.NodePolysPartial, partialNodePolysWire)
@@ -137,53 +108,29 @@ func RegisterServerAt(srv *rmi.Server, tenant string, api ServerAPI) {
 			return ra.PreRange()
 		})
 	}
-	if sa, ok := api.(StatsAPI); ok {
-		rmi.HandleFuncAt(srv, tenant, methodServerStats, func(struct{}) (ServerStats, error) {
-			return sa.ServerStats()
-		})
-	}
-	if aa, ok := api.(AggregateAPI); ok {
-		rmi.HandleFuncAt(srv, tenant, methodAggregateBatch, func(req AggregateRequest) (AggregateReply, error) {
-			return aa.AggregateBatch(req)
-		})
-	}
 	if ma, ok := api.(MutableAPI); ok {
-		rmi.HandleFuncAt(srv, tenant, methodMutate, func(b MutationBatch) (MutateReply, error) {
-			return ma.Mutate(b)
-		})
+		rmi.HandleFuncAt(srv, tenant, methodMutate, ma.Mutate)
 		rmi.HandleFuncAt(srv, tenant, methodEpoch, func(struct{}) (EpochInfo, error) {
 			return ma.Epoch()
 		})
 	}
 	if la, ok := api.(LeaseAPI); ok {
-		rmi.HandleFuncAt(srv, tenant, methodAcquireLease, func(req LeaseRequest) (LeaseGrant, error) {
-			return la.AcquireLease(req)
-		})
+		rmi.HandleFuncAt(srv, tenant, methodAcquireLease, la.AcquireLease)
 		rmi.HandleFuncAt(srv, tenant, methodReleaseLease, func(id uint64) (struct{}, error) {
 			return struct{}{}, la.ReleaseLease(id)
 		})
-		rmi.HandleFuncAt(srv, tenant, methodMutateLeased, func(lb LeasedBatch) (MutateReply, error) {
-			return la.MutateLeased(lb)
-		})
+		rmi.HandleFuncAt(srv, tenant, methodMutateLeased, la.MutateLeased)
 	}
 }
 
-// Remote is a ServerAPI + BatchAPI proxy over an rmi client connection.
-// It counts its round-trips per method (see CallCounts), which is how the
-// tests verify the one-round-trip-per-step property, and degrades to the
-// per-call protocol against servers that do not expose the batch methods.
+// Remote is a ServerAPI proxy over an rmi client connection. It counts
+// its round-trips per method (see CallCounts), which is how the tests
+// verify the one-round-trip-per-step property.
 type Remote struct {
 	c *rmi.Client
 
 	mu     sync.Mutex
 	counts map[string]int64
-
-	flagMu      sync.Mutex
-	noBatch     bool            // server answered "unknown method" to a batch call
-	noStats     bool            // server predates the ServerStats method
-	noAggregate bool            // server predates the aggregate fold frames
-	noLease     bool            // server predates the writer-lease frames
-	noPaged     map[string]bool // paged methods the server rejected, individually
 
 	// trc is nil until SetTracer attaches one; untraced proxies pay one
 	// pointer load per call.
@@ -199,16 +146,14 @@ type remoteTracer struct {
 }
 
 var (
-	_ ServerAPI    = (*Remote)(nil)
-	_ BatchAPI     = (*Remote)(nil)
-	_ PartialAPI   = (*Remote)(nil)
-	_ RangeAPI     = (*Remote)(nil)
-	_ StatsAPI     = (*Remote)(nil)
-	_ AggregateAPI = (*Remote)(nil)
-	_ MutableAPI   = (*Remote)(nil)
+	_ ServerAPI  = (*Remote)(nil)
+	_ PartialAPI = (*Remote)(nil)
+	_ RangeAPI   = (*Remote)(nil)
+	_ MutableAPI = (*Remote)(nil)
+	_ LeaseAPI   = (*Remote)(nil)
 )
 
-// NewRemote wraps an rmi client as a ServerAPI with batch support.
+// NewRemote wraps an rmi client as a ServerAPI.
 func NewRemote(c *rmi.Client) *Remote {
 	return &Remote{c: c, counts: map[string]int64{}}
 }
@@ -289,46 +234,6 @@ func (r *Remote) EvalRoundTrips() int64 {
 	return r.counts[methodEvalAt] + r.counts[methodEvalBatch]
 }
 
-// flagged reports a protocol-downgrade flag; noteUnknown records one
-// from an "unknown method" reply.
-func (r *Remote) flagged(flag *bool) bool {
-	r.flagMu.Lock()
-	defer r.flagMu.Unlock()
-	return *flag
-}
-
-func (r *Remote) noteUnknown(err error, method string, flag *bool) bool {
-	if !rmi.IsUnknownMethod(err, method) {
-		return false
-	}
-	r.flagMu.Lock()
-	*flag = true
-	r.flagMu.Unlock()
-	return true
-}
-
-// Paged methods downgrade individually: a server may register some of
-// them (they hang off different optional interfaces), so rejecting one
-// must not disable the others.
-func (r *Remote) pagedOff(method string) bool {
-	r.flagMu.Lock()
-	defer r.flagMu.Unlock()
-	return r.noPaged[method]
-}
-
-func (r *Remote) notePagedUnknown(err error, method string) bool {
-	if !rmi.IsUnknownMethod(err, method) {
-		return false
-	}
-	r.flagMu.Lock()
-	if r.noPaged == nil {
-		r.noPaged = map[string]bool{}
-	}
-	r.noPaged[method] = true
-	r.flagMu.Unlock()
-	return true
-}
-
 // Root implements ServerAPI.
 func (r *Remote) Root() (NodeMeta, error) {
 	var out NodeMeta
@@ -385,213 +290,111 @@ func (r *Remote) Count() (int64, error) {
 	return out, err
 }
 
-// remoteBatch is the shared skeleton of every Remote batch method: try
-// the batch frame once, detect a pre-batch server by its "unknown
-// method" reply, and degrade to the per-call fallback.
-func remoteBatch[Req, Resp any](r *Remote, method string, reqs []Req, fallback func([]Req) ([]Resp, error)) ([]Resp, error) {
-	if !r.flagged(&r.noBatch) {
-		var out []Resp
-		err := r.callRows(method, reqs, &out, func() int64 { return int64(len(out)) })
-		if err == nil {
-			return out, nil
-		}
-		if !r.noteUnknown(err, method, &r.noBatch) {
-			return nil, err
-		}
-	}
-	return fallback(reqs)
+// remoteBatch issues one batch frame, recording its member count on the
+// frame span.
+func remoteBatch[Req, Resp any](r *Remote, method string, reqs []Req) ([]Resp, error) {
+	var out []Resp
+	err := r.callRows(method, reqs, &out, func() int64 { return int64(len(out)) })
+	return out, err
 }
 
-// EvalBatch implements BatchAPI: one round-trip carrying every (node,
-// point) pair. Against a pre-batch server it degrades to per-call EvalAt.
+// EvalBatch implements ServerAPI: one round-trip carrying every (node,
+// point) pair.
 func (r *Remote) EvalBatch(reqs []EvalRequest) ([]EvalResult, error) {
-	return remoteBatch(r, methodEvalBatch, reqs, func(reqs []EvalRequest) ([]EvalResult, error) {
-		return perCallEvals(reqs, r.EvalAt)
-	})
+	return remoteBatch[EvalRequest, EvalResult](r, methodEvalBatch, reqs)
 }
 
-// NodeBatch implements BatchAPI.
+// NodeBatch implements ServerAPI.
 func (r *Remote) NodeBatch(pres []int64) ([]NodeMeta, error) {
-	return remoteBatch(r, methodNodeBatch, pres, func(pres []int64) ([]NodeMeta, error) {
-		return perCallEach(pres, r.Node)
-	})
+	return remoteBatch[int64, NodeMeta](r, methodNodeBatch, pres)
 }
 
-// ChildrenBatch implements BatchAPI.
+// ChildrenBatch implements ServerAPI.
 func (r *Remote) ChildrenBatch(pres []int64) ([][]NodeMeta, error) {
-	return remoteBatch(r, methodChildrenBatch, pres, func(pres []int64) ([][]NodeMeta, error) {
-		return perCallEach(pres, r.Children)
-	})
+	return remoteBatch[int64, []NodeMeta](r, methodChildrenBatch, pres)
 }
 
-// DescendantsBatch implements BatchAPI. The paged protocol is preferred
-// (byte-bounded reply frames, splitting inside wide subtrees); servers
-// without it get the unpaged batch, then per-call exchanges.
+// DescendantsBatch implements ServerAPI over byte-bounded reply pages,
+// splitting inside wide subtrees.
 func (r *Remote) DescendantsBatch(spans []Span) ([][]NodeMeta, error) {
-	if out, handled, err := r.descendantsPaged(spans); handled {
-		return out, err
-	}
-	return remoteBatch(r, methodDescendantsBatch, spans, func(spans []Span) ([][]NodeMeta, error) {
-		return perCallEach(spans, func(sp Span) ([]NodeMeta, error) {
-			return r.Descendants(sp.Pre, sp.Post)
-		})
-	})
+	return r.descendantsPaged(spans)
 }
 
-// NodePolysBatch implements BatchAPI, preferring the paged protocol.
+// NodePolysBatch implements ServerAPI over byte-bounded reply pages.
 func (r *Remote) NodePolysBatch(pres []int64) ([]NodePolys, error) {
-	if out, handled, err := remotePagedBundles[NodePolys](r, methodNodePolysPage, pres); handled {
-		return out, err
-	}
-	return remoteBatch(r, methodNodePolysBatch, pres, func(pres []int64) ([]NodePolys, error) {
-		return perCallNodePolys(pres, r.Poly, r.ChildrenPolys)
-	})
+	return remotePagedBundles[NodePolys](r, methodNodePolysPage, pres)
 }
 
 // NodePolysPartial implements PartialAPI: the cluster client's
-// equality-bundle fragments, paged. Against a server that predates the
-// paged protocol it degrades to per-call fetches, where a remote
-// handler error on the node row means the row is not stored here.
+// equality-bundle fragments, paged.
 func (r *Remote) NodePolysPartial(pres []int64) ([]PartialNodePolys, error) {
-	if out, handled, err := remotePagedBundles[PartialNodePolys](r, methodNodePolysPartialPage, pres); handled {
-		return out, err
-	}
-	out := make([]PartialNodePolys, len(pres))
-	for i, pre := range pres {
-		row, err := r.Poly(pre)
-		if err == nil {
-			out[i].Has, out[i].Node = true, row
-		} else if _, terr := clientMemberErr(err); terr != nil {
-			return nil, terr
-		}
-		kids, err := r.ChildrenPolys(pre)
-		if err != nil {
-			msg, terr := clientMemberErr(err)
-			if terr != nil {
-				return nil, terr
-			}
-			out[i].Err = msg
-			continue
-		}
-		out[i].Children = kids
-	}
-	return out, nil
+	return remotePagedBundles[PartialNodePolys](r, methodNodePolysPartialPage, pres)
 }
 
-// ServerStats implements StatsAPI over the wire. A server that predates
-// the method reports zeros (stats are diagnostics, not results, so the
-// graceful degradation other optional methods get applies here too).
+// ServerStats implements ServerAPI over the wire.
 func (r *Remote) ServerStats() (ServerStats, error) {
-	if r.flagged(&r.noStats) {
-		return ServerStats{}, nil
-	}
 	var out ServerStats
 	err := r.call(methodServerStats, struct{}{}, &out)
-	if err != nil {
-		if r.noteUnknown(err, methodServerStats, &r.noStats) {
-			return ServerStats{}, nil
-		}
-		return ServerStats{}, err
-	}
-	return out, nil
+	return out, err
 }
 
-// AggregateBatch implements AggregateAPI over the wire. Against a
-// server that predates the aggregate frames it reports
-// ErrAggregateUnsupported (remembered, so later folds skip the probe),
-// and the client filter reconstructs the rows itself — the graceful
-// downgrade path, visible to callers as O(rows) extra round-trips.
+// AggregateBatch implements ServerAPI over the wire.
 func (r *Remote) AggregateBatch(req AggregateRequest) (AggregateReply, error) {
-	if r.flagged(&r.noAggregate) {
-		return AggregateReply{}, ErrAggregateUnsupported
-	}
 	var out AggregateReply
 	err := r.call(methodAggregateBatch, req, &out)
-	if err != nil {
-		if r.noteUnknown(err, methodAggregateBatch, &r.noAggregate) {
-			return AggregateReply{}, ErrAggregateUnsupported
-		}
-		return AggregateReply{}, err
-	}
-	return out, nil
+	return out, err
 }
 
-// PreRange implements RangeAPI over the wire (no fallback: a server too
-// old to answer cannot join a cluster, and the error says so).
+// PreRange implements RangeAPI over the wire.
 func (r *Remote) PreRange() (PreRange, error) {
 	var out PreRange
 	err := r.call(methodPreRange, struct{}{}, &out)
 	return out, err
 }
 
-// Mutate implements MutableAPI over the wire. Writes cannot downgrade:
-// a server that predates the mutation frames reports the typed
-// ErrMutationUnsupported instead of pretending.
+// callWrite is call for the write-path methods. A read-only server
+// registers none of them, so its unknown-method reply becomes the typed
+// ErrReadOnly.
+func (r *Remote) callWrite(method string, args, reply any) error {
+	err := r.call(method, args, reply)
+	if rmi.IsUnknownMethod(err, method) {
+		return ErrReadOnly
+	}
+	return err
+}
+
+// Mutate implements MutableAPI over the wire.
 func (r *Remote) Mutate(b MutationBatch) (MutateReply, error) {
 	var out MutateReply
-	err := r.call(methodMutate, b, &out)
-	if err != nil && rmi.IsUnknownMethod(err, methodMutate) {
-		return MutateReply{}, ErrMutationUnsupported
-	}
+	err := r.callWrite(methodMutate, b, &out)
 	return out, err
 }
 
 // Epoch implements MutableAPI over the wire.
 func (r *Remote) Epoch() (EpochInfo, error) {
 	var out EpochInfo
-	err := r.call(methodEpoch, struct{}{}, &out)
-	if err != nil && rmi.IsUnknownMethod(err, methodEpoch) {
-		return EpochInfo{}, ErrMutationUnsupported
-	}
+	err := r.callWrite(methodEpoch, struct{}{}, &out)
 	return out, err
 }
 
-// AcquireLease implements LeaseAPI over the wire. Against a server that
-// predates the lease frames it reports ErrLeaseUnsupported (remembered)
-// and the session falls back to optimistic client-side sequencing.
+// AcquireLease implements LeaseAPI over the wire.
 func (r *Remote) AcquireLease(req LeaseRequest) (LeaseGrant, error) {
-	if r.flagged(&r.noLease) {
-		return LeaseGrant{}, ErrLeaseUnsupported
-	}
 	var out LeaseGrant
-	err := r.call(methodAcquireLease, req, &out)
-	if err != nil {
-		if r.noteUnknown(err, methodAcquireLease, &r.noLease) {
-			return LeaseGrant{}, ErrLeaseUnsupported
-		}
-		return LeaseGrant{}, err
-	}
-	return out, nil
+	err := r.callWrite(methodAcquireLease, req, &out)
+	return out, err
 }
 
-// ReleaseLease implements LeaseAPI over the wire. Releasing against a
-// pre-lease server is a no-op: nothing was held.
+// ReleaseLease implements LeaseAPI over the wire.
 func (r *Remote) ReleaseLease(id uint64) error {
-	if r.flagged(&r.noLease) {
-		return nil
-	}
-	var out struct{}
-	err := r.call(methodReleaseLease, id, &out)
-	if err != nil && r.noteUnknown(err, methodReleaseLease, &r.noLease) {
-		return nil
-	}
-	return err
+	return r.callWrite(methodReleaseLease, id, &struct{}{})
 }
 
 // MutateLeased implements LeaseAPI over the wire.
 func (r *Remote) MutateLeased(lb LeasedBatch) (MutateReply, error) {
-	if r.flagged(&r.noLease) {
-		return MutateReply{}, ErrLeaseUnsupported
-	}
 	var out MutateReply
-	err := r.call(methodMutateLeased, lb, &out)
-	if err != nil && r.noteUnknown(err, methodMutateLeased, &r.noLease) {
-		return MutateReply{}, ErrLeaseUnsupported
-	}
+	err := r.callWrite(methodMutateLeased, lb, &out)
 	return out, err
 }
-
-var _ LeaseAPI = (*Remote)(nil)
 
 // SetEpoch pins (or with 0 unpins) the epoch stamped on every
 // subsequent frame of this proxy's connection.

@@ -7,19 +7,23 @@
 // The protocol is strictly request/response. Clients serialize concurrent
 // calls; servers handle each connection in its own goroutine.
 //
-// # Tenants (frame version 2)
+// # One frame version
 //
-// A v2 request frame carries a tenant name, and a server dispatches each
+// Every request frame carries FrameVersion, and client and server are
+// built from the same source: there is one protocol, with no feature
+// probing and no downgrade. A server refuses, before dispatch, any frame
+// whose version differs from its own, and the client turns that refusal
+// into a *VersionError. The first frame a session sends at dial time
+// therefore fails on a mismatched peer, naming both versions.
+//
+// # Tenants
+//
+// A request frame carries a tenant name, and a server dispatches each
 // call against that tenant's handler set — how one process serves many
-// independent encrypted tables. The frame format is gob, so the version
-// bump is bidirectionally graceful: a v1 client's frames decode with an
-// empty tenant and route to the server's designated default tenant, and
-// a v1 server silently ignores the extra fields (which is why clients
-// naming a non-default tenant must verify the server speaks v2 first —
-// see the runtime's ResolveTenant handshake in internal/server).
-// Handlers registered under the empty tenant name are global: reachable
-// from every tenant, which is how protocol-negotiation and admin
-// methods stay tenant-independent.
+// independent encrypted tables. A frame naming no tenant routes to the
+// server's designated default tenant. Handlers registered under the
+// empty tenant name are global: reachable from every tenant, which is
+// how runtime and admin methods stay tenant-independent.
 package rmi
 
 import (
@@ -30,6 +34,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,10 +81,9 @@ const (
 )
 
 // IsUnknownMethod reports whether err says the server does not expose
-// the named method — how clients feature-detect protocol extensions.
-// The match is exact against the server's dispatch reply, so a handler
-// whose own error text merely resembles it cannot trigger a false
-// downgrade.
+// the named method. The match is exact against the server's dispatch
+// reply, so a handler whose own error text merely resembles it cannot
+// trigger a false match.
 func IsUnknownMethod(err error, method string) bool {
 	var re *RemoteError
 	return errors.As(err, &re) && re.Msg == unknownMethodPrefix+method
@@ -99,21 +104,30 @@ func ErrUnknownTenant(tenant string) error {
 	return errors.New(unknownTenantPrefix + tenant)
 }
 
-// FrameVersion is the request frame version this client sends. Version
-// 2 added the Tenant field; version-0 frames (from pre-tenant clients,
-// whose request struct had neither field) decode identically to a v2
-// frame with an empty tenant.
-//
-// The Trace/Span fields ride on v2 without a version bump: gob omits
-// zero-valued fields from the stream, so an untraced frame is
-// byte-identical to a pre-trace frame, a pre-trace server silently
-// drops the fields from a traced client, and a pre-trace client's
-// frames decode here with a zero-valued trace context.
-//
-// The Epoch field rides the same way: 0 means "unpinned" and encodes to
-// the pre-epoch wire bytes, so read-only clients and old servers are
-// unaffected.
-const FrameVersion = 2
+// FrameVersion is the one request frame version this package speaks.
+// Bump it whenever the frame layout or any method's argument or reply
+// shape changes: peers built from different sources then refuse each
+// other at the first frame instead of misreading one another.
+const FrameVersion = 3
+
+// refusalPrefix starts the reply to a frame refused for its version;
+// the server's version follows, and the client parses it back into a
+// VersionError.
+const refusalPrefix = "frame version refused, server speaks version "
+
+// VersionError reports a frame the server refused because it carried a
+// different frame version: client and server were built from
+// incompatible sources. It is not retryable — every replica of the same
+// build refuses the same way; the cure is deploying matching binaries.
+type VersionError struct {
+	Method string
+	Client uint8 // version the frame carried
+	Server uint8 // version the server speaks
+}
+
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("rmi: %s: frame version %d refused, server speaks version %d", e.Method, e.Client, e.Server)
+}
 
 type request struct {
 	Seq    uint64
@@ -138,10 +152,10 @@ type HandlerFunc func(body []byte) ([]byte, error)
 
 // Server dispatches incoming calls to registered handlers. Safe for
 // concurrent use. Handler sets are keyed by tenant name; the empty name
-// holds the global set, which doubles as the legacy single-tenant
-// registration target and as the fallback for tenant-independent
-// methods (a method missing from a tenant's set is looked up globally
-// before the call fails).
+// holds the global set, which doubles as the single-tenant registration
+// target and as the lookup for tenant-independent methods (a method
+// missing from a tenant's set is looked up globally before the call
+// fails).
 type Server struct {
 	mu            sync.RWMutex
 	tenants       map[string]map[string]HandlerFunc
@@ -248,11 +262,10 @@ func (s *Server) DropTenant(tenant string) bool {
 	return true
 }
 
-// SetDefaultTenant names the tenant that calls carrying no tenant (v1
-// clients, or v2 clients that never set one) are routed to — the
-// graceful-downgrade rule that keeps pre-tenant client binaries working
-// against a multi-tenant server. An empty name restores the global set
-// as the target.
+// SetDefaultTenant names the tenant that calls carrying no tenant are
+// routed to, so a client that never names one keeps working against a
+// multi-tenant server. An empty name restores the global set as the
+// target.
 func (s *Server) SetDefaultTenant(tenant string) {
 	s.mu.Lock()
 	s.defaultTenant = tenant
@@ -310,8 +323,8 @@ func (s *Server) lookup(tenant, method string) (HandlerFunc, string) {
 	if fn, ok := set[method]; ok {
 		return fn, ""
 	}
-	// Tenant-independent methods (protocol negotiation, admin) live in
-	// the global set and answer under any tenant, known or not.
+	// Tenant-independent methods (runtime, admin) live in the global
+	// set and answer under any tenant, known or not.
 	if fn, ok := s.tenants[""][method]; ok {
 		return fn, ""
 	}
@@ -373,7 +386,13 @@ func (s *Server) ServeConn(conn net.Conn) {
 		}
 		s.bytesIn.Add(int64(n))
 		s.calls.Add(1)
-		fn, errMsg := s.lookup(req.Tenant, req.Method)
+		var fn HandlerFunc
+		var errMsg string
+		if req.Ver == FrameVersion {
+			fn, errMsg = s.lookup(req.Tenant, req.Method)
+		} else {
+			errMsg = refusalPrefix + strconv.Itoa(FrameVersion)
+		}
 		m := s.metrics.Load()
 		if m != nil && req.Trace != 0 {
 			m.traced.Inc()
@@ -522,11 +541,9 @@ func NewClient(conn net.Conn) *Client {
 func (c *Client) Close() error { return c.conn.Close() }
 
 // SetTenant names the tenant every subsequent call is issued against.
-// An empty name (the default) routes to the server's default tenant —
-// the wire frames are then indistinguishable from a pre-tenant
-// client's, so old servers keep working. Callers naming a non-default
-// tenant should verify the server speaks the tenant protocol first
-// (see internal/server.ResolveTenant).
+// An empty name (the default) routes to the server's default tenant.
+// Callers naming a tenant should verify the server hosts it first (see
+// internal/server.ResolveTenant).
 func (c *Client) SetTenant(tenant string) {
 	c.mu.Lock()
 	c.tenant = tenant
@@ -541,11 +558,9 @@ func (c *Client) Tenant() string {
 }
 
 // SetEpoch pins every subsequent call to a data epoch. Zero (the
-// default) means unpinned — the frame bytes are then identical to a
-// pre-epoch client's, and epoch-unaware servers keep working. A server
-// with an epoch gate refuses pinned frames whose epoch has passed, so
-// the caller sees a consistent snapshot or a typed stale-epoch error,
-// never a torn read.
+// default) means unpinned. A server with an epoch gate refuses pinned
+// frames whose epoch has passed, so the caller sees a consistent
+// snapshot or a typed stale-epoch error, never a torn read.
 func (c *Client) SetEpoch(epoch uint64) {
 	c.mu.Lock()
 	c.epoch = epoch
@@ -560,8 +575,7 @@ func (c *Client) Epoch() uint64 {
 }
 
 // TraceContext identifies the trace (and the client-side span issuing
-// the call) a frame belongs to. The zero value means "untraced" and
-// encodes to exactly the pre-trace wire bytes.
+// the call) a frame belongs to. The zero value means "untraced".
 type TraceContext struct {
 	Trace uint64
 	Span  uint64
@@ -597,8 +611,15 @@ func (c *Client) doCall(method string, args any, reply any, tc TraceContext) (Fr
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.seq++
-	req := request{Seq: c.seq, Method: method, Body: body.Bytes(), Ver: FrameVersion, Tenant: c.tenant, Trace: tc.Trace, Span: tc.Span, Epoch: c.epoch}
-	n, err := writeFrame(c.conn, &req)
+	return c.exchange(&request{Seq: c.seq, Method: method, Body: body.Bytes(), Ver: FrameVersion, Tenant: c.tenant, Trace: tc.Trace, Span: tc.Span, Epoch: c.epoch}, reply)
+}
+
+// exchange writes one request frame and reads its reply. Caller holds
+// c.mu.
+func (c *Client) exchange(req *request, reply any) (FrameInfo, error) {
+	var fi FrameInfo
+	method := req.Method
+	n, err := writeFrame(c.conn, req)
 	if err != nil {
 		return fi, &TransportError{Method: method, Err: fmt.Errorf("sending: %w", err)}
 	}
@@ -616,6 +637,11 @@ func (c *Client) doCall(method string, args any, reply any, tc TraceContext) (Fr
 		return fi, &TransportError{Method: method, Err: fmt.Errorf("reply sequence %d for request %d", resp.Seq, req.Seq)}
 	}
 	if resp.Err != "" {
+		if v, ok := strings.CutPrefix(resp.Err, refusalPrefix); ok {
+			if sv, err := strconv.ParseUint(v, 10, 8); err == nil {
+				return fi, &VersionError{Method: method, Client: req.Ver, Server: uint8(sv)}
+			}
+		}
 		return fi, &RemoteError{Msg: resp.Err}
 	}
 	if reply != nil {

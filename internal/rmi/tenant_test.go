@@ -3,8 +3,10 @@ package rmi
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -101,34 +103,55 @@ func TestDropTenant(t *testing.T) {
 	}
 }
 
-// TestLegacyFrameDecodesAsDefaultTenant pins the downgrade rule at the
-// wire level: a frame encoded from the pre-tenant request struct (no
-// Ver, no Tenant field) must decode and route to the default tenant.
-func TestLegacyFrameDecodesAsDefaultTenant(t *testing.T) {
-	type legacyRequest struct {
-		Seq    uint64
-		Method string
-		Body   []byte
-	}
+// TestOtherFrameVersionRefused pins the one-version rule at the wire
+// level: a frame carrying any version but FrameVersion — an older
+// build's, or one from before frames carried a version at all — is
+// refused before dispatch, and the client sees a typed *VersionError
+// naming both versions rather than a generic remote error.
+func TestOtherFrameVersionRefused(t *testing.T) {
 	srv := tenantServer()
 	srv.SetDefaultTenant("alpha")
-	cConn, sConn := net.Pipe()
-	go srv.ServeConn(sConn)
-	defer cConn.Close()
+	var ran atomic.Int32
+	HandleFunc(srv, "t.Count", func(struct{}) (struct{}, error) {
+		ran.Add(1)
+		return struct{}{}, nil
+	})
+	cli := Pipe(srv)
+	defer cli.Close()
 
 	var body bytes.Buffer
 	if err := gob.NewEncoder(&body).Encode(struct{}{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := writeFrame(cConn, &legacyRequest{Seq: 1, Method: "t.Who", Body: body.Bytes()}); err != nil {
-		t.Fatal(err)
+	for _, ver := range []uint8{0, FrameVersion - 1, FrameVersion + 1} {
+		cli.mu.Lock()
+		cli.seq++
+		_, err := cli.exchange(&request{Seq: cli.seq, Method: "t.Count", Body: body.Bytes(), Ver: ver}, nil)
+		cli.mu.Unlock()
+		var ve *VersionError
+		if !errors.As(err, &ve) {
+			t.Fatalf("version %d frame: err = %v, want *VersionError", ver, err)
+		}
+		if ve.Method != "t.Count" || ve.Client != ver || ve.Server != FrameVersion {
+			t.Fatalf("version %d frame: %+v", ver, ve)
+		}
+		var re *RemoteError
+		var te *TransportError
+		if errors.As(err, &re) || errors.As(err, &te) {
+			t.Fatalf("version %d frame: refusal also classified as %T", ver, err)
+		}
 	}
-	var resp response
-	if _, err := readFrame(cConn, &resp); err != nil {
-		t.Fatal(err)
+	// The refusal is per frame: the connection stays usable, and a
+	// current frame on it dispatches normally.
+	var who string
+	if err := cli.Call("t.Who", struct{}{}, &who); err != nil || who != "alpha" {
+		t.Fatalf("current frame after refusals: %q, %v", who, err)
 	}
-	if resp.Err != "" {
-		t.Fatalf("legacy frame rejected: %s", resp.Err)
+	if n := ran.Load(); n != 0 {
+		t.Fatalf("refused frames reached the handler %d times", n)
+	}
+	if err := cli.Call("t.Count", struct{}{}, nil); err != nil || ran.Load() != 1 {
+		t.Fatalf("current frame: %v, handler ran %d times", err, ran.Load())
 	}
 }
 

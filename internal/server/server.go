@@ -12,10 +12,9 @@
 // a cache carved from the shared global budget (per-tenant segments by
 // default, so one tenant's scan cannot evict another's hot set; one
 // shared cache when quotas are disabled), and registers the filter's
-// RMI methods under the tenant's name. Calls carrying no tenant — from
-// pre-tenant client binaries, whose frames decode identically — route
-// to the designated default tenant, so a single-tenant deployment
-// upgrades in place.
+// RMI methods under the tenant's name. Calls carrying no tenant route
+// to the designated default tenant, so a client that never names one
+// keeps working against a multi-tenant server.
 package server
 
 import (
@@ -833,9 +832,9 @@ func normParams(p, e uint32) (uint32, uint32) {
 }
 
 // TenantError reports that a reachable, answering server cannot serve
-// the requested tenant — it does not host it, or predates the tenant
-// protocol entirely. Distinct from a transport failure: retrying or
-// tolerating the server is wrong, the deployment is misconfigured.
+// the requested tenant: it does not host it. Distinct from a transport
+// failure: retrying or tolerating the server is wrong, the deployment
+// is misconfigured.
 type TenantError struct {
 	Tenant string
 	Err    error
@@ -849,37 +848,24 @@ func (e *TenantError) Unwrap() error { return e.Err }
 
 // ResolveTenant verifies, over an established client connection, that
 // the server will dispatch this client's tenant, returning the resolved
-// name (the default tenant's name for clients that set none). Old
-// servers that predate the multi-tenant protocol pass the check for
-// tenantless clients — their dispatch behavior is identical — and fail
-// it with a *TenantError when a tenant was named, instead of silently
+// name (the default tenant's name for clients that set none). A server
+// that does not host the named tenant — including a single-table server
+// outside this runtime, which answers every tenant from its global
+// handler set — fails the check with a *TenantError instead of silently
 // answering from the wrong table.
 func ResolveTenant(c *rmi.Client) (string, error) {
 	tenant := c.Tenant()
 	var name string
 	err := c.Call(methodResolveTenant, tenant, &name)
-	switch {
-	case err == nil:
-		return name, nil
-	case rmi.IsUnknownMethod(err, methodResolveTenant):
-		if tenant == "" {
-			return "", nil // pre-tenant server, pre-tenant client: compatible
-		}
-		return "", &TenantError{Tenant: tenant, Err: errors.New("server predates the multi-tenant protocol")}
-	case rmi.IsUnknownTenant(err, tenant):
+	if rmi.IsUnknownTenant(err, tenant) {
 		return "", &TenantError{Tenant: tenant, Err: err}
-	default:
-		return "", err
 	}
+	return name, err
 }
 
-// ListTenants asks a server for its attached tenant names (empty on
-// pre-tenant servers).
+// ListTenants asks a server for its attached tenant names.
 func ListTenants(c *rmi.Client) ([]string, error) {
 	var names []string
 	err := c.Call(methodTenants, struct{}{}, &names)
-	if rmi.IsUnknownMethod(err, methodTenants) {
-		return nil, nil
-	}
 	return names, err
 }

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"encshare/internal/encoder"
@@ -173,7 +172,7 @@ func TestRuntimeStatsIsolated(t *testing.T) {
 			if bs.CacheHits != 0 || bs.CacheMisses != 1 {
 				t.Errorf("beta cache hits/misses = %d/%d, want 0/1 (alpha's traffic leaked)", bs.CacheHits, bs.CacheMisses)
 			}
-			// The wire-level StatsAPI sees the same isolation.
+			// The wire-level ServerStats sees the same isolation.
 			aws, err := ac.ServerStats()
 			if err != nil {
 				t.Fatal(err)
@@ -364,40 +363,22 @@ func TestUnnamedTenantDetachReattach(t *testing.T) {
 	}
 }
 
-func TestResolveTenantDowngrade(t *testing.T) {
-	// A pre-tenant server: plain rmi server with only filter methods.
+// TestResolveTenant pins the dial-time tenant check: a single-table
+// server (no runtime, filter methods in the global set) would answer
+// any tenant's frames from its one table, so naming a tenant against it
+// fails with a TenantError; a runtime resolves the tenantless client to
+// its default tenant and rejects unknown names the same way.
+func TestResolveTenant(t *testing.T) {
 	fx := newTenantFixture(t, alphaXML, "seed-alpha")
-	old := rmi.NewServer()
-	filter.RegisterServer(old, filter.NewServerFilter(fx.st, ring.MustNew(gf.MustNew(83, 1)), 0))
-
-	cli := rmi.Pipe(old)
+	single := rmi.NewServer()
+	filter.RegisterServer(single, filter.NewServerFilter(fx.st, ring.MustNew(gf.MustNew(83, 1)), 0))
+	cli := rmi.Pipe(single)
 	defer cli.Close()
-	if name, err := server.ResolveTenant(cli); err != nil || name != "" {
-		t.Fatalf("tenantless client vs old server: %q, %v", name, err)
-	}
 	cli.SetTenant("alpha")
 	_, err := server.ResolveTenant(cli)
 	var te *server.TenantError
-	if !errors.As(err, &te) {
-		t.Fatalf("tenant client vs old server: %v, want TenantError", err)
-	}
-
-	// The unknown-METHOD downgrade branch (a true pre-PR binary
-	// answers that way): a server that knows the tenant name but not
-	// the resolve method must also yield a TenantError naming the
-	// protocol gap.
-	noResolve := rmi.NewServer()
-	rmi.HandleFuncAt(noResolve, "alpha", "x", func(struct{}) (bool, error) { return true, nil })
-	nrCli := rmi.Pipe(noResolve)
-	defer nrCli.Close()
-	nrCli.SetTenant("alpha")
-	_, err = server.ResolveTenant(nrCli)
-	if !errors.As(err, &te) || !strings.Contains(err.Error(), "predates") {
-		t.Fatalf("unknown-method downgrade: %v", err)
-	}
-	nrCli.SetTenant("")
-	if _, err := server.ResolveTenant(nrCli); err != nil {
-		t.Fatalf("tenantless vs no-resolve server: %v", err)
+	if !errors.As(err, &te) || te.Tenant != "alpha" {
+		t.Fatalf("tenant client vs single-table server: %v, want TenantError", err)
 	}
 
 	// A runtime server resolves "" to the default tenant's name and

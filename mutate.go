@@ -57,9 +57,9 @@ var (
 	// ErrHasChildren rejects deleting an interior node; delete leaves
 	// bottom-up instead (a subtree delete is a sequence of leaf deletes).
 	ErrHasChildren = errors.New("encshare: node has children; delete leaves only")
-	// ErrReadOnly reports a session with no write path at all (e.g. a
-	// cluster of pre-mutation servers).
-	ErrReadOnly = filter.ErrMutationUnsupported
+	// ErrReadOnly reports a session with no write path at all: its
+	// servers serve a plain, read-only filter.
+	ErrReadOnly = filter.ErrReadOnly
 )
 
 // Insert adds a new element named name as the LAST child of the node at
@@ -372,10 +372,9 @@ func recoverTag(r *ring.Ring, f, c ring.Poly) (gf.Elem, error) {
 // the attempt (acquired BEFORE planning, so the plan's reads are
 // fenced): under a lease the server assigns the batch sequence, so two
 // concurrent writer sessions interleave without burning retries on
-// sequence-gap collisions. Everything degrades — a server without the
-// lease frames, or a lease held past the wait deadline, falls back to
-// the optimistic path, whose gap/digest checks remain the correctness
-// backstop either way.
+// sequence-gap collisions. A lease held past the wait deadline (or a
+// failed lease call) leaves the attempt on the optimistic path, whose
+// gap/digest checks remain the correctness backstop either way.
 func (s *Session) mutateWithRetry(plan func() ([]filter.RowOp, error)) error {
 	const attempts = 3
 	var err error
@@ -431,12 +430,13 @@ func (s *Session) mutateWithRetry(plan func() ([]filter.RowOp, error)) error {
 // apply is a no-op for leased single-server batches (they release
 // server-side at apply, overlapping the next writer with this batch's
 // fsync) but hands the cluster lease back promptly. Degrades to
-// (nil, no-op) — never an error — when the servers predate the lease
-// frames, the lease stays held past the wait deadline, or the session
-// is local. Caller holds s.mutMu.
+// (nil, no-op) — never an error — when the lease stays held past the
+// wait deadline, the lease call fails (a read-only server then fails
+// the apply with ErrReadOnly), or the session is local. Caller holds
+// s.mutMu.
 func (s *Session) acquireWriteLease() (*filter.LeaseGrant, func()) {
 	noop := func() {}
-	if s.noLease || (s.remote == nil && s.shardF == nil) {
+	if s.remote == nil && s.shardF == nil {
 		return nil, noop
 	}
 	ttl := s.leaseTTL
@@ -484,9 +484,6 @@ func (s *Session) acquireWriteLease() (*filter.LeaseGrant, func()) {
 					_ = s.remote.ReleaseLease(g.ID)
 				}
 			}
-		case errors.Is(err, filter.ErrLeaseUnsupported):
-			s.noLease = true
-			return nil, noop
 		case filter.IsLeaseHeld(err):
 			if time.Now().After(deadline) {
 				// Another writer is hogging the lease; proceed optimistic
@@ -544,12 +541,6 @@ func (s *Session) remoteMutateLeased(ops []filter.RowOp, lease *filter.LeaseGran
 	reply, err := s.remote.MutateLeased(lb)
 	if err != nil {
 		s.mutSeqOK = false // same delivery-unknown reasoning as remoteMutate
-		if errors.Is(err, filter.ErrLeaseUnsupported) {
-			// Raced a server downgrade; the plan is still fresh — send it
-			// through the optimistic path instead of wasting the attempt.
-			s.noLease = true
-			return s.remoteMutate(ops)
-		}
 		return err
 	}
 	s.mutSeq = reply.LastSeq

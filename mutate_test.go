@@ -280,14 +280,18 @@ func TestMutateRemote(t *testing.T) {
 // consumeSeqMutable applies batches normally but fails the reply for
 // the first `failures` successful applies — modeling a server whose
 // apply or compact hook errors (or whose reply is lost) AFTER the
-// sequence is consumed.
+// sequence is consumed. It exposes no writer lease, so sessions against
+// it take the optimistic client-sequenced path.
 type consumeSeqMutable struct {
-	*filter.Mutable
+	*filter.ServerFilter
+	mut      *filter.Mutable
 	failures int
 }
 
+func (m *consumeSeqMutable) Epoch() (filter.EpochInfo, error) { return m.mut.Epoch() }
+
 func (m *consumeSeqMutable) Mutate(b filter.MutationBatch) (filter.MutateReply, error) {
-	reply, err := m.Mutable.Mutate(b)
+	reply, err := m.mut.Mutate(b)
 	if err == nil && m.failures > 0 {
 		m.failures--
 		return reply, errors.New("chaos: compact hook failed after apply")
@@ -308,21 +312,21 @@ func TestWriterRecoversAfterConsumedSeq(t *testing.T) {
 	db := encodeFresh(t, keys, testXML)
 	mut := filter.NewMutable(filter.NewServerFilter(db.st, keys.ring, 1024), 0, nil, nil)
 	srv := rmi.NewServer()
-	filter.RegisterServer(srv, &consumeSeqMutable{Mutable: mut, failures: 1})
+	filter.RegisterServer(srv, &consumeSeqMutable{ServerFilter: mut.ServerFilter, mut: mut, failures: 1})
 	cConn, sConn := net.Pipe()
 	go srv.ServeConn(sConn)
 	cli := rmi.NewClient(cConn)
 	rem := filter.NewRemote(cli)
 	// An unpinned session (no dial-time epoch pin): it cannot rely on
 	// stale-epoch fencing to notice the server moved on without it.
-	// Lease off: this test pins the optimistic client-sequenced path —
-	// the fallback every session keeps — where a cached sequence CAN go
-	// stale. (Leased batches carry Seq 0 and are sequenced server-side,
-	// so a consumed sequence cannot be reused there by construction.)
+	// No lease: this test pins the optimistic client-sequenced path —
+	// the one every session takes when no lease is granted — where a
+	// cached sequence CAN go stale. (Leased batches carry Seq 0 and are
+	// sequenced server-side, so a consumed sequence cannot be reused
+	// there by construction.)
 	s := newSession(keys, rem, cli)
 	s.rmiCli = cli
 	s.remote = rem
-	s.noLease = true
 	defer s.Close()
 
 	// First insert: the server applies it, consumes sequence 1, and
